@@ -145,17 +145,18 @@ def cmd_train(config: RunConfig, out: str | None, resume: str | None) -> int:
     return 0
 
 
-def _score_source(config: RunConfig, exact_oracle: bool, checkpoint: str | None):
+def _score_source(config: RunConfig, exact_oracle: bool, checkpoint: str | None,
+                  out_dir: Path):
     if exact_oracle:
         return ExactScoreSource(build_distribution(config), config.lam, config.t_f)
-    ckpt = checkpoint or str(Path(config.out_dir) / "checkpoint.bin")
+    ckpt = checkpoint or out_dir / "checkpoint.bin"
     return LearnedScoreSource.from_checkpoint(ckpt, d=config.d, lam=config.lam, t_f=config.t_f)
 
 
 def cmd_sample(config: RunConfig, out: str | None, exact_oracle: bool,
                checkpoint: str | None, n: int | None) -> int:
     out_dir = _out_dir(config, out)
-    src = _score_source(config, exact_oracle, checkpoint)
+    src = _score_source(config, exact_oracle, checkpoint, out_dir)
     schedule = time_grid(config.schedule.kind, config.schedule.steps, config.t_f)
     flips = flip_counts(config.flips.kind, schedule, config.flip_total)
     n = n or config.n_samples

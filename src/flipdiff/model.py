@@ -12,6 +12,7 @@ suite is the safety net.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -46,7 +47,9 @@ class ModelConfig:
             raise ValueError("time_embed_dim must be even (sin/cos feature pairs)")
 
 
+@functools.lru_cache(maxsize=None)
 def _layout(config: ModelConfig):
+    """Name -> (offset, size, shape) of each parameter block, and the total size."""
     d, h, e = config.d, config.width, config.time_embed_dim
     shapes = [("w_time", (e, e)), ("b_time", (e,)), ("w_in", (h, d)), ("b_in", (h,))]
     for b in range(config.blocks):
@@ -59,7 +62,7 @@ def _layout(config: ModelConfig):
     offsets, pos = {}, 0
     for name, shape in shapes:
         size = int(np.prod(shape))
-        offsets[name] = (pos, shape)
+        offsets[name] = (pos, size, shape)
         pos += size
     return offsets, pos
 
@@ -72,8 +75,8 @@ def _views(params: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
     offsets, total = _layout(config)
     if params.size != total:
         raise ValueError(f"parameter vector has size {params.size}, expected {total}")
-    return {name: params[pos : pos + int(np.prod(shape))].reshape(shape)
-            for name, (pos, shape) in offsets.items()}
+    return {name: params[pos : pos + size].reshape(shape)
+            for name, (pos, size, shape) in offsets.items()}
 
 
 def init_params(config: ModelConfig) -> np.ndarray:
@@ -100,14 +103,21 @@ def _silu_grad(x):
     return s * (1.0 + x * (1.0 - s))
 
 
-def _time_features(ts: np.ndarray, e: int) -> np.ndarray:
-    n_freq = e // 2
+@functools.lru_cache(maxsize=None)
+def _frequencies(n_freq: int) -> np.ndarray:
     freqs = np.geomspace(_FREQ_LO, _FREQ_HI, n_freq)
-    ang = ts[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    freqs.flags.writeable = False
+    return freqs
+
+
+def _time_features(ts: np.ndarray, e: int) -> np.ndarray:
+    """Sin/cos features, one row per time; a scalar time gives one vector."""
+    ang = ts[..., None] * _frequencies(e // 2)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 def _forward(params: np.ndarray, config: ModelConfig, ts: np.ndarray, xs: np.ndarray):
+    """Forward pass; a scalar ``ts`` runs the time path once and broadcasts it."""
     p = _views(params, config)
     feats = _time_features(ts, config.time_embed_dim)
     z_t = feats @ p["w_time"].T + p["b_time"]
@@ -171,15 +181,16 @@ def _backward(params: np.ndarray, config: ModelConfig, cache: dict, d_out: np.nd
 
 
 def predict_batch(params: np.ndarray, config: ModelConfig, ts, xs) -> np.ndarray:
-    """Denoiser predictions in (0,1)^d for rows of ``xs`` at backward times ``ts``."""
+    """Denoiser predictions in (0,1)^d for rows of ``xs`` at backward times ``ts``:
+    one time per row, or one scalar time for all rows."""
     if not np.isfinite(params).all():
         raise ModelCorruptError("model parameters contain NaN or infinity")
     ts = np.asarray(ts, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != config.d:
         raise ValueError(f"states must have shape (n, {config.d})")
-    if ts.shape != (xs.shape[0],):
-        raise ValueError("need one time per state row")
+    if ts.ndim and ts.shape != (xs.shape[0],):
+        raise ValueError("need one time per state row, or one scalar time")
     out, _ = _forward(params, config, ts, xs)
     return out
 

@@ -162,7 +162,15 @@ class LearnedScoreSource:
         return score_from_denoiser(self.denoiser_rows(ts, X), ts[:, None], self.lam, self.t_f)
 
     def denoiser_batch(self, t: float, X) -> np.ndarray:
-        return self.denoiser_rows(np.full(np.asarray(X).shape[0], t), X)
+        """Denoiser at one time for every row of ``X``. Rows are keyed by their
+        bytes, each distinct row is evaluated once, and the results are
+        scattered back in the caller's row order."""
+        X = np.ascontiguousarray(X)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"states must have shape (n, {self.d})")
+        keys = X.view(np.dtype((np.void, X.itemsize * self.d))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return predict_batch(self.params, self.config, t, X[first])[inverse]
 
     def score_batch(self, t: float, X) -> np.ndarray:
         dvec = self.denoiser_batch(t, X)
@@ -326,10 +334,12 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator,
     acc = np.zeros(n)
     thresh = rng.exponential(size=n)
     t = 0.0
+    seg_hi = _rate_rows(src, t, X, lam)
     while t < t_end * (1.0 - 1e-15):
         b = min(t + h, t_end)
-        seg_lo = _rate_rows(src, t, X, lam)
-        seg_hi = _rate_rows(src, b, X, lam)
+        # the crossing loop leaves seg_hi equal to the rates at (b, X), so the
+        # last step's end rates are this step's start rates
+        seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
         seg_start = np.full(n, t)
         inc = 0.5 * (seg_lo.sum(1) + seg_hi.sum(1)) * (b - seg_start)
         for _ in range(_MAX_PASSES):
@@ -415,10 +425,11 @@ def sample_percoord_batch(src, n: int, rng: np.random.Generator,
     acc = np.zeros((n, d))
     thresh = rng.exponential(size=(n, d))
     t = 0.0
+    seg_hi = _rate_rows(src, t, X, lam)
     while t < t_end * (1.0 - 1e-15):
         b = min(t + h, t_end)
-        seg_lo = _rate_rows(src, t, X, lam)
-        seg_hi = _rate_rows(src, b, X, lam)
+        # end-of-step rates carry over, as in sample_continuous_batch
+        seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
         seg_start = np.full(n, t)
         inc = 0.5 * (seg_lo + seg_hi) * (b - seg_start)[:, None]
         for _ in range(_MAX_PASSES):

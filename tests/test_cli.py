@@ -179,6 +179,17 @@ def test_train_resume_continues_numbering(tmp_path):
     assert meta.steps == 120
 
 
+def test_sample_out_reads_checkpoint_from_out(tmp_path):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, training={"steps": 5, "batch_size": 16, "lr": 1e-3})
+    alt = tmp_path / "alt"
+    assert main(["train", "--config", str(cfg_path), "--out", str(alt)]) == 0
+    assert main(["sample", "--config", str(cfg_path), "--out", str(alt),
+                 "--sampler", "discrete", "--steps", "5", "-n", "50"]) == 0
+    assert fd.read_samples(alt / "samples.txt").n == 50
+    assert not (tmp_path / "run").exists()
+
+
 def test_sample_exact_oracle_uniform_dump(tmp_path):
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps({"mass": [0.25, 0.25, 0.25, 0.25]}))

@@ -46,6 +46,26 @@ def test_single_state_predict_matches_batch():
     assert np.allclose(single, batch, atol=0)
 
 
+def test_scalar_time_matches_repeated_time():
+    rng = np.random.default_rng(4)
+    params = fd.init_params(SMALL) + rng.normal(0, 0.2, fd.param_count(SMALL))
+    xs = rng.integers(0, 2, (50, 4)).astype(float)
+    for t in (0.0, 0.7, 2.9):
+        shared = fd.predict_batch(params, SMALL, t, xs)
+        per_row = fd.predict_batch(params, SMALL, np.full(50, t), xs)
+        assert shared.shape == per_row.shape
+        # the one-row time path may round differently from the per-row one
+        np.testing.assert_allclose(shared, per_row, rtol=0, atol=4 * np.finfo(float).eps)
+
+
+def test_time_vector_of_wrong_length_rejected():
+    params = fd.init_params(SMALL)
+    xs = np.zeros((5, 4))
+    for ts in (np.full(4, 0.5), np.full(6, 0.5), np.full((5, 1), 0.5)):
+        with pytest.raises(ValueError):
+            fd.predict_batch(params, SMALL, ts, xs)
+
+
 def test_corrupt_params_rejected():
     params = fd.init_params(SMALL)
     params[10] = np.nan

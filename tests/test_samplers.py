@@ -67,6 +67,72 @@ def test_learned_source_scores_satisfy_rate_positivity():
         assert (1.0 - s > 0).all()
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_learned_source_dedup_keeps_row_order(dtype):
+    cfg = fd.ModelConfig(d=4, blocks=2, width=24, time_embed_dim=12, seed=3)
+    rng = np.random.default_rng(31)
+    params = fd.init_params(cfg) + rng.normal(0, 0.2, fd.param_count(cfg))
+    src = fd.LearnedScoreSource(params, cfg, LAM, 3.0)
+    X = rng.integers(0, 2, (6, 4))[rng.integers(0, 6, 300)].astype(dtype)
+    perm = rng.permutation(300)
+    tol = 4 * np.finfo(float).eps
+    for t in (0.0, 1.5, 2.9):
+        ts = np.full(300, t)
+        # a denoiser error e moves the score by b_coef * e
+        b_coef = fd.score_from_denoiser(0.0, t, LAM, 3.0) - fd.score_from_denoiser(1.0, t, LAM, 3.0)
+        dvec, svec = src.denoiser_batch(t, X), src.score_batch(t, X)
+        np.testing.assert_allclose(dvec, src.denoiser_rows(ts, X), rtol=0, atol=tol)
+        np.testing.assert_allclose(svec, src.score_rows(ts, X), rtol=0, atol=tol * b_coef)
+        # the distinct rows, and so the evaluated batch, do not depend on row order
+        assert (src.denoiser_batch(t, X[perm]) == dvec[perm]).all()
+        assert (src.score_batch(t, X[perm]) == svec[perm]).all()
+    empty = np.zeros((0, 4), dtype=dtype)
+    assert src.denoiser_batch(1.0, empty).shape == (0, 4)
+    assert src.score_batch(1.0, empty).shape == (0, 4)
+
+
+class CountingScoreSource:
+    """Wrapper that logs the time and row count of every score_batch call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple[float, int]] = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def score_batch(self, t, X):
+        self.calls.append((float(t), np.asarray(X).shape[0]))
+        return self.inner.score_batch(t, X)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "percoord"])
+def test_micro_step_end_rates_are_reused(kind):
+    n, t_f = 400, 3.0
+    src = CountingScoreSource(exact_src(fd.sawtooth_params(3), t_f))
+    rng = np.random.default_rng(32)
+    if kind == "continuous":
+        _, jumps = fd.sample_continuous_batch(src, n, rng, return_jump_counts=True)
+    else:
+        fd.sample_percoord_batch(src, n, rng)
+    h = fd.samplers.MICRO_STEP_SCALE * t_f
+    ends, t = [], 0.0
+    while t < t_f * (1.0 - 1e-15):
+        t = min(t + h, t_f)
+        ends.append(t)
+    full = [t for t, rows in src.calls if rows == n]
+    assert full == [0.0] + ends  # one call at t = 0, one per micro step, no time twice
+    crossing_rows, last_full = 0, None
+    for t, rows in src.calls:
+        if rows == n:
+            last_full = t
+        else:
+            assert t == last_full and 0 < rows < n  # only chains that crossed in this step
+            crossing_rows += rows
+    if kind == "continuous":
+        assert crossing_rows == jumps.sum()
+
+
 def test_recording_source_sees_only_grid_times():
     dist = fd.sawtooth_params(3)
     sch = fd.time_grid("cosine", 25, 3.0)
