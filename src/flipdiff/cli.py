@@ -351,7 +351,9 @@ def _load(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     overrides = {}
     if args.seed is not None:
+        # model.seed was fixed when the config was built; the flag sets it too
         overrides["seed"] = args.seed
+        overrides["model"] = dataclasses.replace(config.model, seed=args.seed)
     if getattr(args, "sampler", None):
         overrides["sampler"] = args.sampler
     if getattr(args, "n_samples", None):

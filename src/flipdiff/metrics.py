@@ -21,6 +21,7 @@ from .states import DenseTable, EmpiricalSet, all_states, index_to_state
 
 UNIFORMIZATION_TAIL = 1e-14
 EXACT_BACKWARD_LIMIT = 10  # generator is 2^d x 2^d
+SWD_CHUNK = 64  # projection directions held in memory at once
 
 
 def kl_divergence(p: DenseTable, q: DenseTable) -> float:
@@ -74,15 +75,25 @@ def swd(a: EmpiricalSet, b: EmpiricalSet, n_dirs: int = 1000,
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
     rng = rng or np.random.default_rng()
     dirs = simplex_directions(a.d, n_dirs, rng)
-    proj_a = a.samples.astype(np.float64) @ dirs.T
-    proj_b = b.samples.astype(np.float64) @ dirs.T
-    if a.n == b.n:
-        # equal counts: W1 is the mean absolute difference of sorted samples
-        per_dir = np.mean(np.abs(np.sort(proj_a, axis=0) - np.sort(proj_b, axis=0)), axis=0)
-    else:
-        per_dir = np.array([
-            wasserstein_distance(proj_a[:, j], proj_b[:, j]) for j in range(n_dirs)
-        ])
+    xa = a.samples.astype(np.float64)
+    xb = b.samples.astype(np.float64)
+    per_dir = np.empty(n_dirs)
+    # directions go in chunks so the projections stay n x SWD_CHUNK, not
+    # n x n_dirs; array_split leaves no one-column chunk (numpy sums a single
+    # column pairwise, wider ones row by row), so every chunking of n_dirs > 1
+    # gives the same bits
+    for cols in np.array_split(np.arange(n_dirs), max(1, -(-n_dirs // SWD_CHUNK))):
+        proj_a = xa @ dirs[cols].T
+        proj_b = xb @ dirs[cols].T
+        if a.n == b.n:
+            # equal counts: W1 is the mean absolute difference of sorted samples
+            proj_a.sort(axis=0)
+            proj_b.sort(axis=0)
+            proj_a -= proj_b
+            per_dir[cols] = np.mean(np.abs(proj_a, out=proj_a), axis=0)
+        else:
+            per_dir[cols] = [wasserstein_distance(proj_a[:, j], proj_b[:, j])
+                             for j in range(cols.size)]
     value = float(per_dir.mean())
     se = float(per_dir.std(ddof=1) / np.sqrt(n_dirs)) if n_dirs > 1 else 0.0
     return SWDEstimate(value=value, n_directions=n_dirs, std_error=se)

@@ -59,7 +59,7 @@ class ExactScoreSource:
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"states must have shape (n, {self.d})")
-        return X.astype(np.int64)
+        return X if X.dtype.kind in "iu" else X.astype(np.int64)
 
     def _forward_time(self, t):
         u = self.t_f - np.asarray(t, dtype=np.float64)
@@ -67,10 +67,33 @@ class ExactScoreSource:
             raise ValueError("backward time exceeds the horizon t_f")
         return u
 
-    # --- product fast path / dense path, scalar time --------------------
+    def _dense_score(self, u, X) -> np.ndarray:
+        """Score of a dense law at one forward time: one propagation, then a
+        gather of each row's mass and its d single-bit flips."""
+        mass = propagate_mass(self.dist.mass, u, self.lam)
+        idx = state_indices(X)
+        here = mass[idx]
+        if (here <= 0.0).any():
+            bad = idx[np.argmin(here)]
+            raise ValueError(f"state index {bad} has zero mass at forward time {float(u)!r}")
+        flipped = mass[idx[:, None] ^ (1 << np.arange(self.d))]
+        return 1.0 - flipped / here[:, None]
+
+    # --- scalar time --------------------------------------------------------
 
     def score_batch(self, t: float, X) -> np.ndarray:
-        return self.score_rows(np.full(np.asarray(X).shape[0], t), X)
+        """Score at one time for every row of ``X``, built from one table per
+        call; bit-identical to ``score_rows`` with that time repeated."""
+        X = self._check(X)
+        u = self._forward_time(t)
+        if not isinstance(self.dist, ProductBernoulli):
+            return self._dense_score(u, X)
+        # entry (c, b) is the score of coordinate c reading bit b, from the
+        # same arithmetic as score_rows
+        q1 = 0.5 + (self.dist.probs - 0.5) * alpha(u, self.lam)
+        p = np.stack([1.0 - q1, q1], axis=1)
+        table = 1.0 - (1.0 - p) / p
+        return table.ravel()[np.arange(0, 2 * self.d, 2) + (X == 1)]
 
     def denoiser_batch(self, t: float, X) -> np.ndarray:
         return self.denoiser_rows(np.full(np.asarray(X).shape[0], t), X)
@@ -88,14 +111,7 @@ class ExactScoreSource:
         out = np.empty(X.shape, dtype=np.float64)
         for u_val in np.unique(u):
             rows = u == u_val
-            mass = propagate_mass(self.dist.mass, u_val, self.lam)
-            idx = state_indices(X[rows])
-            here = mass[idx]
-            if (here <= 0.0).any():
-                bad = idx[np.argmin(here)]
-                raise ValueError(f"state index {bad} has zero mass at forward time {u_val!r}")
-            flipped = mass[idx[:, None] ^ (1 << np.arange(self.d))]
-            out[rows] = 1.0 - flipped / here[:, None]
+            out[rows] = self._dense_score(u_val, X[rows])
         return out
 
     def denoiser_rows(self, ts, X) -> np.ndarray:
@@ -244,11 +260,15 @@ class RecordingScoreSource:
 def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
     """Backward flip rates lam*(1 - s) for a batch, validated nonnegative."""
     rates = lam * (1.0 - src.score_batch(t, X))
-    if not np.isfinite(rates).all():
+    if rates.size == 0:
+        return rates
+    # NaN propagates through both reductions and +-inf reaches one of them
+    lo, hi = rates.min(), rates.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise SamplerError(f"non-finite backward rate at t={t!r}")
-    if (rates < -lam * 1e-9).any():
+    if lo < -lam * 1e-9:
         raise InvalidScoreError(f"negative backward rate at t={t!r}")
-    return np.maximum(rates, 0.0)
+    return np.maximum(rates, 0.0) if lo < 0 else rates
 
 
 def _categorical_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -335,18 +355,19 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator,
     thresh = rng.exponential(size=n)
     t = 0.0
     seg_hi = _rate_rows(src, t, X, lam)
+    tot_hi = seg_hi.sum(1)
     while t < t_end * (1.0 - 1e-15):
         b = min(t + h, t_end)
-        # the crossing loop leaves seg_hi equal to the rates at (b, X), so the
-        # last step's end rates are this step's start rates
+        # the crossing loop leaves seg_hi (and its row totals tot_hi) equal to
+        # the rates at (b, X), so the last step's end is this step's start
         seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
+        tot_lo, tot_hi = tot_hi, seg_hi.sum(1)
         seg_start = np.full(n, t)
-        inc = 0.5 * (seg_lo.sum(1) + seg_hi.sum(1)) * (b - seg_start)
+        inc = 0.5 * (tot_lo + tot_hi) * (b - t)
+        idx = np.flatnonzero((acc + inc >= thresh) & (inc > 0))
         for _ in range(_MAX_PASSES):
-            crossing = (acc + inc >= thresh) & (inc > 0)
-            if not crossing.any():
+            if idx.size == 0:
                 break
-            idx = np.flatnonzero(crossing)
             frac = (thresh[idx] - acc[idx]) / inc[idx]
             t_star = seg_start[idx] + frac * (b - seg_start[idx])
             w = (1.0 - frac[:, None]) * seg_lo[idx] + frac[:, None] * seg_hi[idx]
@@ -358,10 +379,14 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator,
             # remainder of the micro step with the flipped state; the rate is
             # held at its end-of-step value (O(h) bias, h is tiny)
             r_new = _rate_rows(src, b, X[idx], lam)
+            tot_new = r_new.sum(1)
             seg_lo[idx] = r_new
             seg_hi[idx] = r_new
+            tot_hi[idx] = tot_new
             seg_start[idx] = t_star
-            inc[idx] = r_new.sum(1) * (b - t_star)
+            inc[idx] = tot_new * (b - t_star)
+            # only the rows that just jumped changed, so only they can cross again
+            idx = idx[(acc[idx] + inc[idx] >= thresh[idx]) & (inc[idx] > 0)]
         else:
             raise SamplerError(f"crossing resolution did not settle at t={t!r}")
         acc += inc
@@ -431,13 +456,12 @@ def sample_percoord_batch(src, n: int, rng: np.random.Generator,
         # end-of-step rates carry over, as in sample_continuous_batch
         seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
         seg_start = np.full(n, t)
-        inc = 0.5 * (seg_lo + seg_hi) * (b - seg_start)[:, None]
+        inc = 0.5 * (seg_lo + seg_hi) * (b - t)
+        crossing = (acc + inc >= thresh) & (inc > 0)
+        idx = np.unique(np.flatnonzero(crossing) // d)
         for _ in range(_MAX_PASSES):
-            crossing = (acc + inc >= thresh) & (inc > 0)
-            rows = crossing.any(axis=1)
-            if not rows.any():
+            if idx.size == 0:
                 break
-            idx = np.flatnonzero(rows)
             with np.errstate(divide="ignore", invalid="ignore"):
                 frac = np.where(crossing[idx], (thresh[idx] - acc[idx]) / inc[idx], np.inf)
             t_cross = seg_start[idx, None] + frac * (b - seg_start[idx, None])
@@ -452,6 +476,9 @@ def sample_percoord_batch(src, n: int, rng: np.random.Generator,
             seg_hi[idx] = r_new
             seg_start[idx] = t_star
             inc[idx] = r_new * (b - t_star)[:, None]
+            # only the rows that just jumped changed, so only they can cross again
+            crossing[idx] = (acc[idx] + inc[idx] >= thresh[idx]) & (inc[idx] > 0)
+            idx = idx[crossing[idx].any(axis=1)]
         else:
             raise SamplerError(f"crossing resolution did not settle at t={t!r}")
         acc += inc

@@ -179,6 +179,21 @@ def test_train_resume_continues_numbering(tmp_path):
     assert meta.steps == 120
 
 
+def test_train_seed_flag_reaches_model_seed(tmp_path):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, training={"steps": 5, "batch_size": 16, "lr": 1e-3})
+    configs = {}
+    for seed in (None, 0, 5):
+        out = tmp_path / f"seed-{seed}"
+        flag = [] if seed is None else ["--seed", str(seed)]
+        assert main(["train", "--config", str(cfg_path), "--out", str(out), *flag]) == 0
+        _, configs[seed], meta = fd.load_checkpoint(out / "checkpoint.bin")
+        assert meta.seed == (11 if seed is None else seed)
+    assert configs[None].seed == 0  # the config file's model section, untouched
+    assert configs[0].seed == 0 and configs[5].seed == 5
+    assert not np.array_equal(fd.init_params(configs[5]), fd.init_params(configs[0]))
+
+
 def test_sample_out_reads_checkpoint_from_out(tmp_path):
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path, training={"steps": 5, "batch_size": 16, "lr": 1e-3})

@@ -2,9 +2,11 @@
 planners, and exact backward propagation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import wasserstein_distance
 
 import flipdiff as fd
 
@@ -62,6 +64,43 @@ def test_swd_symmetry_and_unequal_sizes():
     ab = fd.swd(a, b, n_dirs=64, rng=np.random.default_rng(4)).value
     ba = fd.swd(b, a, n_dirs=64, rng=np.random.default_rng(4)).value
     assert ab == pytest.approx(ba, abs=1e-12)
+
+
+def full_matrix_swd(a, b, n_dirs, rng):
+    """Reference SWD that projects on every direction at once."""
+    dirs = fd.metrics.simplex_directions(a.d, n_dirs, rng)
+    proj_a = a.samples.astype(np.float64) @ dirs.T
+    proj_b = b.samples.astype(np.float64) @ dirs.T
+    if a.n == b.n:
+        per_dir = np.mean(np.abs(np.sort(proj_a, axis=0) - np.sort(proj_b, axis=0)), axis=0)
+    else:
+        per_dir = np.array([wasserstein_distance(proj_a[:, j], proj_b[:, j])
+                            for j in range(n_dirs)])
+    return fd.SWDEstimate(value=float(per_dir.mean()), n_directions=n_dirs,
+                          std_error=float(per_dir.std(ddof=1) / np.sqrt(n_dirs)))
+
+
+@pytest.mark.parametrize("n_b", [1500, 1100])
+def test_swd_chunked_matches_full_matrix(n_b):
+    rng = np.random.default_rng(8)
+    a = fd.EmpiricalSet(rng.integers(0, 2, (1500, 8), dtype=np.int8))
+    b = fd.EmpiricalSet(rng.integers(0, 2, (n_b, 8), dtype=np.int8))
+    for n_dirs in (2, 65, 130, 1000):
+        est = fd.swd(a, b, n_dirs=n_dirs, rng=np.random.default_rng(9))
+        assert est == full_matrix_swd(a, b, n_dirs, np.random.default_rng(9))
+
+
+def test_swd_peak_memory_is_bounded():
+    rng = np.random.default_rng(10)
+    a = fd.EmpiricalSet(rng.integers(0, 2, (20000, 8), dtype=np.int8))
+    b = fd.EmpiricalSet(rng.integers(0, 2, (20000, 8), dtype=np.int8))
+    tracemalloc.start()
+    try:
+        fd.swd(a, b, rng=np.random.default_rng(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6  # the 20000 x 1000 projections alone would take 160 MB
 
 
 def test_swd_sawtooth_self_distance_floor():

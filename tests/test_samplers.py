@@ -133,6 +133,85 @@ def test_micro_step_end_rates_are_reused(kind):
         assert crossing_rows == jumps.sum()
 
 
+def equivalence_laws():
+    dense = np.random.default_rng(33).uniform(0.05, 1.0, 16)
+    return {"product-d3": fd.ProductBernoulli([0.1, 0.5, 0.85]),
+            "dense-d4": fd.DenseTable.normalized(dense)}
+
+
+@pytest.mark.parametrize("law", ["product-d3", "dense-d4"])
+def test_exact_score_batch_matches_score_rows_bitwise(law):
+    t_f = 3.0
+    src = exact_src(equivalence_laws()[law], t_f)
+    rng = np.random.default_rng(34)
+    X = rng.integers(0, 2, (500, src.d), dtype=np.int8)
+    for t in (0.0, 0.001, 0.7, 1.5, 2.25, 2.999, t_f):
+        batch = src.score_batch(t, X)
+        assert batch.tobytes() == src.score_rows(np.full(X.shape[0], t), X).tobytes()
+    empty = np.zeros((0, src.d), dtype=np.int8)
+    assert src.score_batch(1.0, empty).shape == (0, src.d)
+    with pytest.raises(ValueError):
+        src.score_batch(t_f + 1e-9, X)
+
+
+class PerRowScoreSource:
+    """Wrapper whose scalar-time score query takes the per-row-time path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def score_batch(self, t, X):
+        return self.inner.score_rows(np.full(np.asarray(X).shape[0], t), X)
+
+
+@pytest.mark.parametrize("law", ["product-d3", "dense-d4"])
+def test_batch_samplers_match_per_row_score_path(law):
+    src = exact_src(equivalence_laws()[law])
+    per_row = PerRowScoreSource(src)
+    sch = fd.time_grid("cosine", 30, 3.0)
+    flips = fd.flip_counts("linear", sch, src.d)
+    runs = {
+        "continuous": lambda s, rng: fd.sample_continuous_batch(s, 300, rng,
+                                                                return_jump_counts=True),
+        "percoord": lambda s, rng: (fd.sample_percoord_batch(s, 300, rng),),
+        "discrete": lambda s, rng: (fd.sample_discretized_batch(s, sch, LAM, 300, rng),),
+        "flip": lambda s, rng: (fd.sample_flip_schedule_batch(s, sch, flips, LAM, 300, rng),),
+    }
+    for kind, run in runs.items():
+        fast = run(src, np.random.default_rng(35))
+        slow = run(per_row, np.random.default_rng(35))
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), kind
+
+
+def test_rate_rows_validation():
+    lam = 2.5
+    X = np.zeros((4, 2), dtype=np.int8)
+
+    def rates_for(rate):
+        # a constant score whose backward rate lam * (1 - s) is `rate` in coordinate 1
+        src = ConstantScoreSource(np.array([0.5, 1.0 - rate / lam]), lam, 3.0)
+        return fd.samplers._rate_rows(src, 1.0, X, lam)
+
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(fd.SamplerError):
+            rates_for(bad)
+    mixed = ConstantScoreSource(np.array([np.nan, 1e6]), lam, 3.0)  # NaN beside rate -2.5e6
+    with pytest.raises(fd.SamplerError):
+        fd.samplers._rate_rows(mixed, 1.0, X, lam)
+    with pytest.raises(fd.InvalidScoreError):
+        rates_for(-1e-3 * lam)
+    clamped = rates_for(-1e-12 * lam)
+    assert (clamped[:, 1] == 0.0).all() and (clamped[:, 0] == 0.5 * lam).all()
+    ok = ConstantScoreSource(np.array([0.5, -0.25]), lam, 3.0)
+    assert (fd.samplers._rate_rows(ok, 1.0, X, lam) == lam * (1.0 - ok.svec)).all()
+    empty = fd.samplers._rate_rows(ok, 1.0, np.zeros((0, 2), dtype=np.int8), lam)
+    assert empty.shape == (0, 2)
+
+
 def test_recording_source_sees_only_grid_times():
     dist = fd.sawtooth_params(3)
     sch = fd.time_grid("cosine", 25, 3.0)
