@@ -1,5 +1,7 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
-marginal, the validate-bounds report and the sliced Wasserstein metric.
+marginal, the validate-bounds report, the sliced Wasserstein metric, the
+exact dense denoiser, ``propagate_mass`` at d=8 and two samplers on a d=8
+learned source.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
 change meant to be exact can be checked with one diff:
@@ -9,7 +11,7 @@ change meant to be exact can be checked with one diff:
     diff before.txt after.txt
 
 BLAS is pinned to one thread, since the thread count can change the last bit
-of a matrix product. Runs in about ten seconds on one core.
+of a matrix product. Runs in about twenty seconds on one core.
 """
 
 from __future__ import annotations
@@ -97,8 +99,38 @@ def main() -> int:
     for name, other in (("equal-n", b), ("unequal-n", c)):
         est = fd.swd(a, other, n_dirs=1000, rng=np.random.default_rng(6))
         lines.append(f"swd/{name} {hashlib.sha256(est.to_json().encode()).hexdigest()}")
+    lines += d8_lines(srcs["exact-dense-d4"])
     print("\n".join(lines))
     return 0
+
+
+def d8_lines(dense_src) -> list[str]:
+    """Outputs added after the first 20 lines: the dense denoiser (d+1
+    propagations each, flip_only_coord included), propagate_mass at d=8, and
+    the continuous and discretized samplers at d=8, where a rate row has 8
+    entries. A fresh model predicts exactly 0.5, so its weights are perturbed
+    to give distinct rates per coordinate."""
+    rng = np.random.default_rng(30)
+    ts = rng.uniform(0.0, T_F, size=64)
+    states = rng.integers(0, 2, size=(64, 4), dtype=np.int8)
+    lines = [f"exact-dense-d4/denoiser_rows {digest(dense_src.denoiser_rows(ts, states))}"]
+
+    mass = rng.random(256) + 0.05
+    mass /= mass.sum()
+    props = [fd.propagate_mass(mass, 0.37, LAM, flip_only_coord=c) for c in (None, 0, 7)]
+    lines.append(f"propagate_mass-d8 {digest(*props)}")
+
+    cfg = fd.ModelConfig(d=8, blocks=1, width=32, time_embed_dim=16, seed=8)
+    params = fd.init_params(cfg)
+    params += rng.normal(0.0, 0.3, size=params.size)
+    src = fd.LearnedScoreSource(params, cfg, LAM, T_F)
+    schedule = fd.time_grid("cosine", 40, T_F)
+    cont = fd.sample_continuous_batch(src, 300, np.random.default_rng([31, 0]),
+                                      return_jump_counts=True)
+    disc = fd.sample_discretized_batch(src, schedule, LAM, 2000, np.random.default_rng([31, 1]))
+    lines.append(f"learned-d8/continuous {digest(*cont)}")
+    lines.append(f"learned-d8/discrete {digest(disc)}")
+    return lines
 
 
 if __name__ == "__main__":

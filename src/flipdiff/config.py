@@ -160,7 +160,9 @@ def _build_section(name: str, cls, payload: dict, top: dict):
             base = PRESETS[preset]
             payload = {"w1": base.w1, "w2": base.w2, "w3": base.w3, **payload}
     if name == "model":
+        # as for a config without a model section, d and seed come from the top
         payload.setdefault("d", top.get("d", RunConfig.d))
+        payload.setdefault("seed", top.get("seed", RunConfig.seed))
     for key in ("probs", "dims", "k_values", "tv_dims"):
         if key in payload and payload[key] is not None:
             payload[key] = tuple(payload[key])

@@ -102,13 +102,15 @@ def propagate_mass(mass: np.ndarray, t: float, lam: float, flip_only_coord: int 
     d = mass.size.bit_length() - 1
     check_enum_limit(d)
     k_full = _kernel_matrix(t, lam)
-    k_off = _kernel_matrix(t, lam, flip_only=True)
-    m = mass.reshape((2,) * d)
+    k_off = _kernel_matrix(t, lam, flip_only=True) if flip_only_coord is not None else None
+    m = mass
     for ax in range(d):
-        # reshape puts bit (d-1) on tensor axis 0, so tensor axis ax <-> bit d-1-ax
+        # pass ax contracts the leading bit of the flat index, bit d-1-ax, and
+        # appends the result as the trailing one: the product that
+        # np.tensordot(m, k, ([0], [0])) hands to BLAS, so the bits match it
         k_ax = k_off if flip_only_coord == d - 1 - ax else k_full
-        m = np.tensordot(m, k_ax, axes=([0], [0]))
-    return m.reshape(-1)
+        m = np.dot(m.reshape(2, -1).T, k_ax).reshape(-1)
+    return m
 
 
 def marginal(mu0: Distribution, t: float, lam: float) -> Distribution:

@@ -8,14 +8,15 @@ it ranges over [0, 2] (twice the more common sup-of-events normalization).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import wasserstein_distance
 
-from .errors import AssumptionViolationError, EnumerationLimitError, InvalidScoreError, PlanningError
-from .samplers import sample_discretized_batch
+from .errors import AssumptionViolationError, EnumerationLimitError, PlanningError
+from .samplers import _rate_rows, sample_discretized_batch
 from .schedules import TimeSchedule
 from .states import DenseTable, EmpiricalSet, all_states, index_to_state
 
@@ -219,6 +220,14 @@ def plan_early_stop(eps: float, d: int, lam: float, kl_init: float) -> tuple[flo
     return eta, h, k_f
 
 
+@functools.lru_cache(maxsize=None)
+def _flip_index(d: int) -> np.ndarray:
+    """(2^d, d) table whose entry [x, l] is the index of x with bit l flipped."""
+    idx = np.arange(1 << d)[:, None] ^ (1 << np.arange(d))
+    idx.flags.writeable = False
+    return idx
+
+
 def _uniformized_step(mass: np.ndarray, rates: np.ndarray, h: float,
                       tail: float = UNIFORMIZATION_TAIL) -> np.ndarray:
     """Propagate a mass vector through exp(h*Q) where Q has off-diagonal
@@ -234,15 +243,18 @@ def _uniformized_step(mass: np.ndarray, rates: np.ndarray, h: float,
     if rate_max <= 0 or h <= 0:
         return mass.copy()
     a = rate_max * h
-    idx = np.arange(mass.size)
-    flip_idx = idx[:, None] ^ (1 << np.arange(d))
+    flip_idx = _flip_index(d)
+    stay = 1.0 - exit_rate / rate_max
+    # rates_in[y, l] is the rate from y's coordinate-l flip into y
+    rates_in = rates[flip_idx, np.arange(d)]
 
     def apply_p(v: np.ndarray) -> np.ndarray:
-        out = v * (1.0 - exit_rate / rate_max)
-        flow = v[:, None] * rates / rate_max
+        out = v * stay
+        # inflows are added one coordinate at a time, in order, which keeps
+        # the bits of a bincount scatter over each flip permutation
+        flow_in = v[flip_idx] * rates_in / rate_max
         for coord in range(d):
-            out += np.bincount(flip_idx[:, coord], weights=flow[:, coord],
-                               minlength=v.size)
+            out += flow_in[:, coord]
         return out
 
     weight = np.exp(-a)
@@ -264,7 +276,9 @@ def exact_backward_marginal(src, schedule: TimeSchedule, lam: float) -> DenseTab
     time (the object the KL convergence bound speaks about).
 
     Starts from the uniform distribution and propagates the full 2^d vector
-    by uniformization, so d is capped at EXACT_BACKWARD_LIMIT.
+    by uniformization, so d is capped at EXACT_BACKWARD_LIMIT. The rates are
+    validated as the samplers validate them: a non-finite rate raises
+    SamplerError and a negative one InvalidScoreError.
     """
     d = src.d
     if d > EXACT_BACKWARD_LIMIT:
@@ -272,13 +286,10 @@ def exact_backward_marginal(src, schedule: TimeSchedule, lam: float) -> DenseTab
             f"exact backward propagation needs a 2^{d} generator; "
             f"refusing d > {EXACT_BACKWARD_LIMIT}")
     mass = np.full(1 << d, 1.0 / (1 << d))
+    states = all_states(d)
     grid = schedule.grid
     for k in range(schedule.n_steps):
-        scores = src.score_batch(grid[k], all_states(d))
-        rates = lam * (1.0 - scores)
-        if (rates < -lam * 1e-9).any():
-            raise InvalidScoreError(f"negative backward rate at t={grid[k]!r}")
-        rates = np.maximum(rates, 0.0)
+        rates = _rate_rows(src, grid[k], states, lam)
         mass = _uniformized_step(mass, rates, grid[k + 1] - grid[k])
     return DenseTable(mass)
 

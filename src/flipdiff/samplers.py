@@ -271,6 +271,20 @@ def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
     return np.maximum(rates, 0.0) if lo < 0 else rates
 
 
+def _row_totals(rates: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, d) rate array, adding the columns left to right.
+
+    numpy reduces a short last axis one row at a time, which costs far more
+    than d column adds. For d < 8 numpy also adds left to right, so the sums
+    are the same bits; from d = 8 on it adds in pairwise blocks of 8, and a
+    total can differ from ``rates.sum(1)`` in the last bits.
+    """
+    total = rates[:, 0].copy()
+    for col in range(1, rates.shape[1]):
+        total += rates[:, col]
+    return total
+
+
 def _categorical_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One category per row, proportional to nonnegative row weights."""
     cum = np.cumsum(weights, axis=1)
@@ -355,13 +369,13 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator,
     thresh = rng.exponential(size=n)
     t = 0.0
     seg_hi = _rate_rows(src, t, X, lam)
-    tot_hi = seg_hi.sum(1)
+    tot_hi = _row_totals(seg_hi)
     while t < t_end * (1.0 - 1e-15):
         b = min(t + h, t_end)
         # the crossing loop leaves seg_hi (and its row totals tot_hi) equal to
         # the rates at (b, X), so the last step's end is this step's start
         seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
-        tot_lo, tot_hi = tot_hi, seg_hi.sum(1)
+        tot_lo, tot_hi = tot_hi, _row_totals(seg_hi)
         seg_start = np.full(n, t)
         inc = 0.5 * (tot_lo + tot_hi) * (b - t)
         idx = np.flatnonzero((acc + inc >= thresh) & (inc > 0))
@@ -379,7 +393,7 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator,
             # remainder of the micro step with the flipped state; the rate is
             # held at its end-of-step value (O(h) bias, h is tiny)
             r_new = _rate_rows(src, b, X[idx], lam)
-            tot_new = r_new.sum(1)
+            tot_new = _row_totals(r_new)
             seg_lo[idx] = r_new
             seg_hi[idx] = r_new
             tot_hi[idx] = tot_new
@@ -524,7 +538,7 @@ def sample_discretized_batch(src, schedule: TimeSchedule, lam: float, n: int,
         if record_grid:
             recorded.append(X.copy())
         rates = _rate_rows(src, grid[k], X, lam)
-        total = rates.sum(1)
+        total = _row_totals(rates)
         accum += total * (grid[k + 1] - grid[k])
         crossed = (accum > thresh) & (total > 0)
         if crossed.any():
@@ -571,7 +585,7 @@ def sample_flip_schedule_batch(src, schedule: TimeSchedule, flips: FlipSchedule,
     grid = schedule.grid
     for k in range(schedule.n_steps):
         rates = _rate_rows(src, grid[k], X, lam)
-        total = rates.sum(1)
+        total = _row_totals(rates)
         accum += total * (grid[k + 1] - grid[k])
         crossed = (accum > thresh) & (total > 0)
         if crossed.any():

@@ -76,6 +76,19 @@ def test_config_d_consistency(tmp_path):
         fd.load_config(cfg_path)
 
 
+def test_config_model_section_inherits_top_level_seed(tmp_path):
+    model_seeds = []
+    for seed in (3, 4):
+        cfg_path = tmp_path / f"seed{seed}.yaml"
+        write_config(cfg_path, seed=seed)
+        model_seeds.append(fd.load_config(cfg_path).model.seed)
+    assert model_seeds == [3, 4]
+    cfg_path = tmp_path / "explicit.yaml"
+    write_config(cfg_path, seed=3,
+                 model={"blocks": 1, "width": 24, "time_embed_dim": 12, "seed": 9})
+    assert fd.load_config(cfg_path).model.seed == 9
+
+
 def test_substreams_are_deterministic_and_distinct():
     a = fd.substream(5, "train").random(4)
     b = fd.substream(5, "train").random(4)
@@ -189,7 +202,7 @@ def test_train_seed_flag_reaches_model_seed(tmp_path):
         assert main(["train", "--config", str(cfg_path), "--out", str(out), *flag]) == 0
         _, configs[seed], meta = fd.load_checkpoint(out / "checkpoint.bin")
         assert meta.seed == (11 if seed is None else seed)
-    assert configs[None].seed == 0  # the config file's model section, untouched
+    assert configs[None].seed == 11  # the model section inherits the top-level seed
     assert configs[0].seed == 0 and configs[5].seed == 5
     assert not np.array_equal(fd.init_params(configs[5]), fd.init_params(configs[0]))
 

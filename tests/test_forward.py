@@ -108,6 +108,31 @@ def test_propagate_mass_flip_only_matches_brute_force():
             assert out[fd.state_index(x)] == pytest.approx(brute, abs=1e-14)
 
 
+def tensordot_propagate(mass, t, lam, flip_only_coord=None):
+    """propagate_mass written with np.tensordot, as the bit-level reference."""
+    d = mass.size.bit_length() - 1
+    a_t = fd.alpha(t, lam)
+    stay, move = 0.5 + 0.5 * a_t, 0.5 - 0.5 * a_t
+    k_full = np.array([[stay, move], [move, stay]])
+    k_off = np.array([[0.0, move], [move, 0.0]])
+    m = mass.reshape((2,) * d)
+    for ax in range(d):
+        k_ax = k_off if flip_only_coord == d - 1 - ax else k_full
+        m = np.tensordot(m, k_ax, axes=([0], [0]))
+    return m.reshape(-1)
+
+
+def test_propagate_mass_matches_tensordot_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for d in range(1, 11):
+        mass = rng.dirichlet(np.ones(1 << d))
+        t = rng.uniform(0.01, 2.0)
+        for coord in (None, *range(d)):
+            out = fd.propagate_mass(mass, t, 1.3, flip_only_coord=coord)
+            ref = tensordot_propagate(mass, t, 1.3, coord)
+            assert out.tobytes() == ref.tobytes(), (d, coord)
+
+
 def test_sample_conditional_identity_at_zero():
     x0 = np.array([1, 0, 1, 1])
     out = fd.sample_conditional(x0, 0.0, 1.0, np.random.default_rng(0))

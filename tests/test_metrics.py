@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import wasserstein_distance
 
 import flipdiff as fd
@@ -302,6 +303,101 @@ def test_exact_backward_marginal_dimension_guard():
     src.d = 11  # simulate an oversized state space
     with pytest.raises(fd.EnumerationLimitError):
         fd.exact_backward_marginal(src, fd.time_grid("linear", 5, 4.0), LAM)
+
+
+class InjectedScoreSource:
+    """Wraps a source and overwrites one score entry at every query."""
+
+    def __init__(self, inner, value):
+        self.inner = inner
+        self.value = value
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def score_batch(self, t, X):
+        out = self.inner.score_batch(t, X).copy()
+        out[1, 0] = self.value
+        return out
+
+
+def test_exact_backward_marginal_rejects_bad_rates():
+    src = fd.ExactScoreSource(random_table(3, 16), LAM, 3.0)
+    sch = fd.time_grid("linear", 5, 3.0)
+    # a NaN score, and a -inf score (a rate of +inf), used to give an all-NaN law
+    for value in (np.nan, -np.inf):
+        with pytest.raises(fd.SamplerError):
+            fd.exact_backward_marginal(InjectedScoreSource(src, value), sch, LAM)
+    with pytest.raises(fd.InvalidScoreError):  # a rate of -1e-3 * lam
+        fd.exact_backward_marginal(InjectedScoreSource(src, 1.0 + 1e-3), sch, LAM)
+
+
+def bincount_uniformized_step(mass, rates, h, tail=fd.metrics.UNIFORMIZATION_TAIL):
+    """_uniformized_step with the flows scattered by np.bincount, as the
+    bit-level reference."""
+    d = rates.shape[1]
+    exit_rate = rates.sum(axis=1)
+    rate_max = float(exit_rate.max())
+    if rate_max <= 0 or h <= 0:
+        return mass.copy()
+    a = rate_max * h
+    idx = np.arange(mass.size)
+    flip_idx = idx[:, None] ^ (1 << np.arange(d))
+
+    def apply_p(v):
+        out = v * (1.0 - exit_rate / rate_max)
+        flow = v[:, None] * rates / rate_max
+        for coord in range(d):
+            out += np.bincount(flip_idx[:, coord], weights=flow[:, coord], minlength=v.size)
+        return out
+
+    weight = np.exp(-a)
+    cum = weight
+    term = mass
+    acc = weight * mass
+    k = 0
+    while cum < 1.0 - tail:
+        term = apply_p(term)
+        k += 1
+        weight *= a / k
+        cum += weight
+        acc += weight * term
+    return acc / acc.sum()
+
+
+def uniformization_cases(rng):
+    for d in range(1, 7):
+        mass = rng.dirichlet(np.ones(1 << d))
+        rates = rng.uniform(0.0, 3.0, size=(1 << d, d))
+        rates[rng.random(1 << d) < 0.25] = 0.0  # zero-rate rows
+        yield mass, rates, rng.uniform(0.01, 0.5)
+
+
+def test_uniformized_step_matches_bincount_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for mass, rates, h in uniformization_cases(rng):
+        out = fd.metrics._uniformized_step(mass, rates, h)
+        assert out.tobytes() == bincount_uniformized_step(mass, rates, h).tobytes()
+    mass = rng.dirichlet(np.ones(8))
+    for rates, h in ((np.zeros((8, 3)), 0.3), (rng.uniform(0.0, 1.0, (8, 3)), 0.0)):
+        out = fd.metrics._uniformized_step(mass, rates, h)
+        assert out is not mass and out.tobytes() == mass.tobytes()
+
+
+def test_uniformized_step_matches_matrix_exponential():
+    rng = np.random.default_rng(18)
+    for mass, rates, h in uniformization_cases(rng):
+        d = rates.shape[1]
+        if d > 4:
+            break
+        q = np.zeros((1 << d, 1 << d))
+        for x in range(1 << d):
+            for coord in range(d):
+                q[x, x ^ (1 << coord)] = rates[x, coord]
+            q[x, x] = -rates[x].sum()
+        expected = mass @ expm(h * q)
+        out = fd.metrics._uniformized_step(mass, rates, h)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_score_error_estimate_zero_for_exact():

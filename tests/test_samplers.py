@@ -212,6 +212,24 @@ def test_rate_rows_validation():
     assert empty.shape == (0, 2)
 
 
+def test_row_totals_match_numpy_row_sums():
+    rng = np.random.default_rng(44)
+    for d in range(1, 17):
+        if d < 8:
+            # mixed magnitudes, so a different addition order would show
+            rates = rng.uniform(0.0, 3.0, (500, d)) * 10.0 ** rng.integers(-6, 7, (500, d))
+        else:
+            rates = rng.uniform(0.0, 3.0, (500, d))
+        rates[rng.random(rates.shape) < 0.2] = 0.0
+        totals = fd.samplers._row_totals(rates)
+        ref = rates.sum(axis=1)
+        if d < 8:
+            assert totals.tobytes() == ref.tobytes(), d
+        else:
+            assert (np.abs(totals - ref) <= 4 * np.spacing(ref)).all(), d
+    assert fd.samplers._row_totals(np.zeros((0, 5))).shape == (0,)
+
+
 def test_recording_source_sees_only_grid_times():
     dist = fd.sawtooth_params(3)
     sch = fd.time_grid("cosine", 25, 3.0)
