@@ -1,7 +1,7 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
 marginal, the validate-bounds report, the sliced Wasserstein metric, the
-exact dense denoiser, ``propagate_mass`` at d=8 and two samplers on a d=8
-learned source.
+exact dense denoiser, ``propagate_mass`` at d=8, two samplers on a d=8
+learned source, and two training runs.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
 change meant to be exact can be checked with one diff:
@@ -25,6 +25,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +34,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import flipdiff as fd  # noqa: E402
+from flipdiff.cli import build_distribution  # noqa: E402
 from flipdiff.cli import main as cli_main  # noqa: E402
+from flipdiff.config import load_config  # noqa: E402
 
 LAM, T_F = 1.0, 3.0
 
@@ -100,6 +103,7 @@ def main() -> int:
         est = fd.swd(a, other, n_dirs=1000, rng=np.random.default_rng(6))
         lines.append(f"swd/{name} {hashlib.sha256(est.to_json().encode()).hexdigest()}")
     lines += d8_lines(srcs["exact-dense-d4"])
+    lines += training_lines()
     print("\n".join(lines))
     return 0
 
@@ -130,6 +134,27 @@ def d8_lines(dense_src) -> list[str]:
     disc = fd.sample_discretized_batch(src, schedule, LAM, 2000, np.random.default_rng([31, 1]))
     lines.append(f"learned-d8/continuous {digest(*cont)}")
     lines.append(f"learned-d8/discrete {digest(disc)}")
+    return lines
+
+
+def training_lines() -> list[str]:
+    """Parameters and log rows after 200 steps: the shipped d=8 sawtooth
+    config's model, loss and optimizer, and a small model trained on all
+    three losses with weight decay, lr decay and EMA."""
+    cfg = load_config(ROOT / "scripts/configs/sawtooth_d8.yaml")
+    small_settings = fd.TrainSettings(steps=200, batch_size=64, lr=3e-3, weight_decay=0.01,
+                                      decay_every=50, decay_rate=0.7, ema=True, ema_rate=0.95)
+    runs = {
+        "train/sawtooth_d8": (build_distribution(cfg), cfg.model, cfg.loss,
+                              replace(cfg.training, steps=200), cfg.lam, cfg.t_f),
+        "train/d6-l2+e+ce-ema": (fd.sawtooth_params(6),
+                                 fd.ModelConfig(d=6, blocks=2, width=32, time_embed_dim=16, seed=4),
+                                 fd.LossSpec(1, 1, 1, w_scaled=True), small_settings, LAM, T_F),
+    }
+    lines = []
+    for name, (data, model, loss, settings, lam, t_f) in runs.items():
+        res = fd.train(data, model, loss, settings, lam, t_f, np.random.default_rng(40))
+        lines.append(f"{name} {digest(res.params, np.array(res.log_rows))}")
     return lines
 
 

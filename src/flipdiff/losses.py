@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .forward import alpha, sample_conditional_batch
-from .score import clamp_forward_time
+from .score import _affine_coeffs, clamp_forward_time
 from .states import Distribution, EmpiricalSet
 
 CE_CLIP = 1e-12
@@ -117,12 +117,15 @@ def draw_clean_states(dataset: Distribution | EmpiricalSet, n: int,
 
 
 def _coeffs(batch: TrainBatch):
-    u = clamp_forward_time(batch.t_f - batch.t)
-    a = alpha(u, batch.lam)
-    a_coef = 2.0 * a / (1.0 + a)
-    b_coef = 4.0 * a / (1.0 - a * a)
-    w = 0.5 * (1.0 - a)
+    """Per-item score coefficients (a_coef, b_coef) and time weight w_t, as columns."""
+    a_coef, b_coef = _affine_coeffs(batch.t, batch.lam, batch.t_f)
+    w = time_weight(batch.t, batch.lam, batch.t_f)
     return a_coef[:, None], b_coef[:, None], w[:, None]
+
+
+def _weight(batch: TrainBatch, w_scaled: bool):
+    """The per-item divisor w_t of a w-scaled loss, or None."""
+    return _coeffs(batch)[2] if w_scaled else None
 
 
 def _predictions(batch: TrainBatch, model) -> np.ndarray:
@@ -134,17 +137,20 @@ def _predictions(batch: TrainBatch, model) -> np.ndarray:
 
 def loss_l2(batch: TrainBatch, model, w_scaled: bool = False) -> float:
     """Mean squared error between predictions and the flip indicator."""
-    return _l2_value(batch, _predictions(batch, model), w_scaled)
+    return _l2_value(_predictions(batch, model), batch.flip_indicator(),
+                     _weight(batch, w_scaled))
 
 
 def loss_ce(batch: TrainBatch, model, w_scaled: bool = False) -> float:
     """Mean negative log-likelihood of the flip indicators (clipped)."""
-    return _ce_value(batch, _predictions(batch, model), w_scaled)
+    return _ce_value(_predictions(batch, model), batch.flip_indicator(),
+                     _weight(batch, w_scaled))
 
 
 def loss_entropy(batch: TrainBatch, model) -> float:
     """Entropy objective on the reparameterized score; never w-scaled."""
-    return _entropy_value(batch, _predictions(batch, model))
+    a_coef, b_coef, _ = _coeffs(batch)
+    return _entropy_value(_predictions(batch, model), batch.flip_indicator(), a_coef, b_coef)
 
 
 def combined_loss(batch: TrainBatch, model, spec: LossSpec) -> float:
@@ -154,29 +160,27 @@ def combined_loss(batch: TrainBatch, model, spec: LossSpec) -> float:
     return total
 
 
-def _l2_value(batch, preds, w_scaled):
-    sq = (preds - batch.flip_indicator()) ** 2
-    if w_scaled:
-        sq = sq / _coeffs(batch)[2]
+def _l2_value(preds, y, w):
+    sq = (preds - y) ** 2
+    if w is not None:
+        sq = sq / w
     return float(sq.mean())
 
 
-def _ce_value(batch, preds, w_scaled):
-    y = batch.flip_indicator()
+def _ce_value(preds, y, w):
     clipped = np.clip(preds, CE_CLIP, 1.0 - CE_CLIP)
     nll = -(y * np.log(clipped) + (1.0 - y) * np.log1p(-clipped))
-    if w_scaled:
-        nll = nll / _coeffs(batch)[2]
+    if w is not None:
+        nll = nll / w
     return float(nll.mean())
 
 
-def _entropy_value(batch, preds):
-    a_coef, b_coef, _ = _coeffs(batch)
+def _entropy_value(preds, y, a_coef, b_coef):
     s = a_coef - b_coef * preds
     one_minus_s = 1.0 - s
     if (one_minus_s <= 0).any():
         raise ValueError("entropy loss needs 1 - s > 0; predictions out of range")
-    f = a_coef - b_coef * batch.flip_indicator()
+    f = a_coef - b_coef * y
     term = -s + (f - 1.0) * np.log(one_minus_s)
     return float(term.mean())
 
@@ -186,17 +190,18 @@ def _parts(batch: TrainBatch, preds: np.ndarray, spec: LossSpec, want_grad: bool
     n_elems = preds.size
     y = batch.flip_indicator()
     a_coef, b_coef, w = _coeffs(batch)
-    inv_w = 1.0 / w if spec.w_scaled else np.ones_like(w)
+    w_div = w if spec.w_scaled else None
 
     parts = {
-        "l2": _l2_value(batch, preds, spec.w_scaled),
-        "e": _entropy_value(batch, preds),
-        "ce": _ce_value(batch, preds, spec.w_scaled),
+        "l2": _l2_value(preds, y, w_div),
+        "e": _entropy_value(preds, y, a_coef, b_coef),
+        "ce": _ce_value(preds, y, w_div),
     }
     total = spec.w1 * parts["l2"] + spec.w2 * parts["e"] + spec.w3 * parts["ce"]
     if not want_grad:
         return total, parts, None
 
+    inv_w = 1.0 / w if spec.w_scaled else np.ones_like(w)
     grad = np.zeros_like(preds)
     if spec.w1:
         grad += spec.w1 * 2.0 * (preds - y) * inv_w / n_elems

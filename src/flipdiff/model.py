@@ -7,14 +7,18 @@ layer under a final sigmoid, so a fresh model predicts exactly 0.5).
 
 Gradients are hand-written reverse mode over this fixed graph — no autodiff
 framework — in float64 throughout; the finite-difference check in the test
-suite is the safety net.
+suite is the safety net. The forward and backward pass write into one
+workspace of preallocated arrays; ``loss_and_grad`` keeps its workspace
+between calls, so training runs one thread per process.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,6 +51,22 @@ class ModelConfig:
             raise ValueError("time_embed_dim must be even (sin/cos feature pairs)")
 
 
+def _pack(shapes) -> tuple[dict, int]:
+    """Name -> (offset, size, shape) of consecutive blocks of one flat vector,
+    and the vector's total size."""
+    offsets, pos = {}, 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        offsets[name] = (pos, size, shape)
+        pos += size
+    return offsets, pos
+
+
+def _unpack(vector: np.ndarray, offsets: dict) -> dict[str, np.ndarray]:
+    return {name: vector[pos : pos + size].reshape(shape)
+            for name, (pos, size, shape) in offsets.items()}
+
+
 @functools.lru_cache(maxsize=None)
 def _layout(config: ModelConfig):
     """Name -> (offset, size, shape) of each parameter block, and the total size."""
@@ -59,12 +79,7 @@ def _layout(config: ModelConfig):
             (f"w2_{b}", (h, h)), (f"b2_{b}", (h,)),
         ]
     shapes += [("w_out", (d, h)), ("b_out", (d,))]
-    offsets, pos = {}, 0
-    for name, shape in shapes:
-        size = int(np.prod(shape))
-        offsets[name] = (pos, size, shape)
-        pos += size
-    return offsets, pos
+    return _pack(shapes)
 
 
 def param_count(config: ModelConfig) -> int:
@@ -75,8 +90,7 @@ def _views(params: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
     offsets, total = _layout(config)
     if params.size != total:
         raise ValueError(f"parameter vector has size {params.size}, expected {total}")
-    return {name: params[pos : pos + size].reshape(shape)
-            for name, (pos, size, shape) in offsets.items()}
+    return _unpack(params, offsets)
 
 
 def init_params(config: ModelConfig) -> np.ndarray:
@@ -93,14 +107,27 @@ def init_params(config: ModelConfig) -> np.ndarray:
     return params
 
 
-def _silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s
+def _sigmoid(x, out):
+    """out = 1 / (1 + exp(-x))."""
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def _silu_grad(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def _silu(x, s, out):
+    """out = x * s with s = sigmoid(x); the backward reads s back."""
+    _sigmoid(x, s)
+    return np.multiply(x, s, out=out)
+
+
+def _silu_grad(x, s, out):
+    """out = s * (1 + x * (1 - s)), the SiLU derivative from the kept sigmoid."""
+    np.subtract(1.0, s, out=out)
+    out *= x
+    out += 1.0
+    out *= s
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,73 +137,136 @@ def _frequencies(n_freq: int) -> np.ndarray:
     return freqs
 
 
-def _time_features(ts: np.ndarray, e: int) -> np.ndarray:
-    """Sin/cos features, one row per time; a scalar time gives one vector."""
-    ang = ts[..., None] * _frequencies(e // 2)
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+_BLOCK_ARRAYS = ("xhat", "normed", "z1", "s1", "a1")
 
 
-def _forward(params: np.ndarray, config: ModelConfig, ts: np.ndarray, xs: np.ndarray):
-    """Forward pass; a scalar ``ts`` runs the time path once and broadcasts it."""
-    p = _views(params, config)
-    feats = _time_features(ts, config.time_embed_dim)
-    z_t = feats @ p["w_time"].T + p["b_time"]
-    emb = _silu(z_t)
-    h = xs @ p["w_in"].T + p["b_in"]
-    cache = {"feats": feats, "z_t": z_t, "emb": emb, "xs": xs, "blocks": []}
+@functools.lru_cache(maxsize=256)
+def _workspace_layout(config: ModelConfig, n: int, time_shape: tuple):
+    """``_pack`` layout of a workspace's arrays; see ``_Workspace``."""
+    d, h, e = config.d, config.width, config.time_embed_dim
+    shapes = [("xs", (n, d)), ("ang", time_shape + (e // 2,)), ("emb_u", time_shape + (h,)),
+              ("emb_rows", (n, e)), ("row_a", (n, 1)), ("row_b", (n, 1)),
+              ("logits", (n, d)), ("d_logits", (n, d))]
+    shapes += [(k, time_shape + (e,)) for k in ("feats", "z_t", "s_t", "emb", "d_emb")]
+    shapes += [(k, (n, h)) for k in ("h", "tmp_a", "tmp_b")]
     for b in range(config.blocks):
-        mean = h.mean(axis=1, keepdims=True)
-        var = h.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + _LN_EPS)
-        xhat = (h - mean) * inv
-        normed = xhat * p[f"ln_g{b}"] + p[f"ln_b{b}"]
-        z1 = normed @ p[f"w1_{b}"].T + p[f"b1_{b}"] + emb @ p[f"u_{b}"].T
-        a1 = _silu(z1)
-        z2 = a1 @ p[f"w2_{b}"].T + p[f"b2_{b}"]
-        cache["blocks"].append({"h_in": h, "inv": inv, "xhat": xhat,
-                                "normed": normed, "z1": z1, "a1": a1})
-        h = h + z2
-    logits = h @ p["w_out"].T + p["b_out"]
-    out = 1.0 / (1.0 + np.exp(-logits))
-    cache["h_final"] = h
-    cache["out"] = out
-    return out, cache
+        shapes += [(f"inv{b}", (n, 1))] + [(f"{k}{b}", (n, h)) for k in _BLOCK_ARRAYS]
+    return _pack(shapes)
 
 
-def _backward(params: np.ndarray, config: ModelConfig, cache: dict, d_out: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Every array one forward and backward pass over ``n`` rows writes.
+
+    ``time_shape`` is ``()`` for one scalar time shared by all rows (forward
+    only) or ``(n,)`` for one time per row. ``blocks[b]`` holds block b's
+    values that the backward reads: ``inv``, ``xhat``, ``normed``, ``z1``,
+    its sigmoid ``s1`` and ``a1``. All arrays but ``out`` are views of one
+    buffer, so a freed workspace leaves no holes in the heap that stay
+    resident. ``out`` is its own array because ``predict_batch`` returns it.
+    """
+
+    def __init__(self, config: ModelConfig, n: int, time_shape: tuple):
+        offsets, total = _workspace_layout(config, n, time_shape)
+        arrays = _unpack(np.empty(total), offsets)
+        self.__dict__.update(arrays)
+        self.blocks = [SimpleNamespace(**{k: arrays[f"{k}{b}"] for k in ("inv", *_BLOCK_ARRAYS)})
+                       for b in range(config.blocks)]
+        self.out = np.empty((n, config.d))
+
+
+@functools.lru_cache(maxsize=1)
+def _training_workspace(config: ModelConfig, n: int) -> _Workspace:
+    """The workspace ``loss_and_grad`` reuses while (config, batch size) repeat."""
+    return _Workspace(config, n, (n,))
+
+
+def _row_mean(x, out):
+    """x.mean(axis=1, keepdims=True) into ``out``: the row sum over the count."""
+    np.add.reduce(x, axis=1, keepdims=True, out=out)
+    out /= x.shape[1]
+    return out
+
+
+def _forward(params: np.ndarray, config: ModelConfig, ts, xs, ws: _Workspace) -> np.ndarray:
+    """Forward pass into ``ws``; returns ``ws.out``. A scalar ``ts`` runs the
+    time path once and broadcasts it."""
     p = _views(params, config)
-    grad = np.zeros_like(params)
+    np.copyto(ws.xs, xs)
+    half = config.time_embed_dim // 2
+    np.multiply(ts[..., None], _frequencies(half), out=ws.ang)
+    np.sin(ws.ang, out=ws.feats[..., :half])
+    np.cos(ws.ang, out=ws.feats[..., half:])
+    np.matmul(ws.feats, p["w_time"].T, out=ws.z_t)
+    ws.z_t += p["b_time"]
+    _silu(ws.z_t, ws.s_t, ws.emb)
+    h, tmp = ws.h, ws.tmp_a
+    np.matmul(ws.xs, p["w_in"].T, out=h)
+    h += p["b_in"]
+    for b, c in enumerate(ws.blocks):
+        mean = _row_mean(h, ws.row_a)
+        centered = np.subtract(h, mean, out=c.xhat)
+        inv = _row_mean(np.square(centered, out=tmp), c.inv)
+        inv += _LN_EPS
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        centered *= inv
+        np.multiply(c.xhat, p[f"ln_g{b}"], out=c.normed)
+        c.normed += p[f"ln_b{b}"]
+        np.matmul(c.normed, p[f"w1_{b}"].T, out=c.z1)
+        c.z1 += p[f"b1_{b}"]
+        c.z1 += np.matmul(ws.emb, p[f"u_{b}"].T, out=ws.emb_u)
+        _silu(c.z1, c.s1, c.a1)
+        np.matmul(c.a1, p[f"w2_{b}"].T, out=tmp)
+        tmp += p[f"b2_{b}"]
+        h += tmp
+    np.matmul(h, p["w_out"].T, out=ws.logits)
+    ws.logits += p["b_out"]
+    return _sigmoid(ws.logits, ws.out)
+
+
+def _backward(params: np.ndarray, config: ModelConfig, ws: _Workspace,
+              d_out: np.ndarray) -> np.ndarray:
+    """Gradient of the loss in parameter space from d loss / d out, using the
+    values ``_forward`` left in ``ws`` (per-row times); returns a new array."""
+    p = _views(params, config)
+    grad = np.empty_like(params)
     g = _views(grad, config)
-    out = cache["out"]
-    d_logits = d_out * out * (1.0 - out)
-    g["w_out"][...] = d_logits.T @ cache["h_final"]
-    g["b_out"][...] = d_logits.sum(axis=0)
-    dh = d_logits @ p["w_out"]
-    d_emb = np.zeros_like(cache["emb"])
+    tmp_a, tmp_b = ws.tmp_a, ws.tmp_b
+    d_logits = np.multiply(d_out, ws.out, out=ws.d_logits)
+    d_logits *= np.subtract(1.0, ws.out, out=ws.logits)
+    np.matmul(d_logits.T, ws.h, out=g["w_out"])
+    np.add.reduce(d_logits, axis=0, out=g["b_out"])
+    dh = np.matmul(d_logits, p["w_out"], out=ws.h)  # the final h is read for the last time above
+    d_emb = ws.d_emb
+    d_emb.fill(0.0)
     for b in reversed(range(config.blocks)):
-        c = cache["blocks"][b]
-        dz2 = dh  # residual: dh flows both into z2 and straight through
-        g[f"w2_{b}"][...] = dz2.T @ c["a1"]
-        g[f"b2_{b}"][...] = dz2.sum(axis=0)
-        da1 = dz2 @ p[f"w2_{b}"]
-        dz1 = da1 * _silu_grad(c["z1"])
-        g[f"w1_{b}"][...] = dz1.T @ c["normed"]
-        g[f"b1_{b}"][...] = dz1.sum(axis=0)
-        g[f"u_{b}"][...] = dz1.T @ cache["emb"]
-        d_emb += dz1 @ p[f"u_{b}"]
-        d_normed = dz1 @ p[f"w1_{b}"]
-        g[f"ln_g{b}"][...] = (d_normed * c["xhat"]).sum(axis=0)
-        g[f"ln_b{b}"][...] = d_normed.sum(axis=0)
-        dxhat = d_normed * p[f"ln_g{b}"]
-        mean_dxhat = dxhat.mean(axis=1, keepdims=True)
-        mean_dxhat_xhat = (dxhat * c["xhat"]).mean(axis=1, keepdims=True)
-        dh_ln = c["inv"] * (dxhat - mean_dxhat - c["xhat"] * mean_dxhat_xhat)
-        dh = dh + dh_ln
-    g["w_in"][...] = dh.T @ cache["xs"]
-    g["b_in"][...] = dh.sum(axis=0)
-    dz_t = d_emb * _silu_grad(cache["z_t"])
-    g["w_time"][...] = dz_t.T @ cache["feats"]
-    g["b_time"][...] = dz_t.sum(axis=0)
+        c = ws.blocks[b]
+        # residual: dh flows both into z2 and straight through
+        np.matmul(dh.T, c.a1, out=g[f"w2_{b}"])
+        np.add.reduce(dh, axis=0, out=g[f"b2_{b}"])
+        dz1 = np.matmul(dh, p[f"w2_{b}"], out=tmp_a)
+        dz1 *= _silu_grad(c.z1, c.s1, tmp_b)
+        np.matmul(dz1.T, c.normed, out=g[f"w1_{b}"])
+        np.add.reduce(dz1, axis=0, out=g[f"b1_{b}"])
+        np.matmul(dz1.T, ws.emb, out=g[f"u_{b}"])
+        d_emb += np.matmul(dz1, p[f"u_{b}"], out=ws.emb_rows)
+        d_normed = np.matmul(dz1, p[f"w1_{b}"], out=tmp_b)
+        np.add.reduce(np.multiply(d_normed, c.xhat, out=tmp_a), axis=0, out=g[f"ln_g{b}"])
+        np.add.reduce(d_normed, axis=0, out=g[f"ln_b{b}"])
+        dxhat = d_normed
+        dxhat *= p[f"ln_g{b}"]
+        mean_dxhat = _row_mean(dxhat, ws.row_a)
+        mean_dxhat_xhat = _row_mean(np.multiply(dxhat, c.xhat, out=tmp_a), ws.row_b)
+        dxhat -= mean_dxhat
+        dxhat -= np.multiply(c.xhat, mean_dxhat_xhat, out=tmp_a)
+        dxhat *= c.inv
+        dh += dxhat
+    np.matmul(dh.T, ws.xs, out=g["w_in"])
+    np.add.reduce(dh, axis=0, out=g["b_in"])
+    dz_t = d_emb
+    dz_t *= _silu_grad(ws.z_t, ws.s_t, ws.emb_rows)
+    np.matmul(dz_t.T, ws.feats, out=g["w_time"])
+    np.add.reduce(dz_t, axis=0, out=g["b_time"])
     return grad
 
 
@@ -191,8 +281,7 @@ def predict_batch(params: np.ndarray, config: ModelConfig, ts, xs) -> np.ndarray
         raise ValueError(f"states must have shape (n, {config.d})")
     if ts.ndim and ts.shape != (xs.shape[0],):
         raise ValueError("need one time per state row, or one scalar time")
-    out, _ = _forward(params, config, ts, xs)
-    return out
+    return _forward(params, config, ts, xs, _Workspace(config, xs.shape[0], ts.shape))
 
 
 def predict(params: np.ndarray, config: ModelConfig, t: float, x) -> np.ndarray:
@@ -217,22 +306,21 @@ def loss_and_grad(params: np.ndarray, config: ModelConfig, batch, loss_spec):
 
     Returns (loss, grad, parts) where parts maps component names to values.
     The loss math lives in :mod:`flipdiff.losses`; this function chains its
-    prediction-space gradient through the network.
+    prediction-space gradient through the network. It reuses one workspace
+    while ``config`` and the batch size repeat; ``grad`` is a new array.
     """
     from .losses import loss_parts_and_pred_grad
 
     if not np.isfinite(params).all():
         raise ModelCorruptError("model parameters contain NaN or infinity")
-    ts = batch.t.astype(np.float64)
-    xs = batch.x_noised.astype(np.float64)
-    out, cache = _forward(params, config, ts, xs)
+    ws = _training_workspace(config, batch.x_noised.shape[0])
+    out = _forward(params, config, batch.t, batch.x_noised, ws)
     total, parts, d_out = loss_parts_and_pred_grad(batch, out, loss_spec)
     if not np.isfinite(total):
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
         idx = int(bad[0]) if bad.size else -1
         raise TrainingError(f"non-finite loss (first offending sample index {idx})")
-    grad = _backward(params, config, cache, d_out)
-    return total, grad, parts
+    return total, _backward(params, config, ws, d_out), parts
 
 
 @dataclass
@@ -249,6 +337,8 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    # the bias-corrected first moment, rewritten by every step
+    _m_hat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def current_lr(self) -> float:
         if self.decay_every <= 0:
@@ -257,7 +347,8 @@ class OptimizerState:
 
 
 def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) -> np.ndarray:
-    """One decoupled-weight-decay Adam update; returns the new parameters."""
+    """One decoupled-weight-decay Adam update; returns the new parameters and
+    updates ``state.m`` and ``state.v`` in place."""
     if grad.shape != params.shape:
         raise ValueError("gradient and parameter shapes differ")
     if not np.isfinite(grad).all():
@@ -265,13 +356,29 @@ def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) 
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
+    for name, moment in (("m", state.m), ("v", state.v)):
+        if np.shape(moment) != params.shape:
+            raise TrainingError(f"optimizer state {name} has shape {np.shape(moment)}, "
+                                f"parameters have shape {params.shape}")
     lr = state.current_lr()
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    new = params - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * params)
+    m, v = state.m, state.v
+    if state._m_hat is None or state._m_hat.shape != params.shape:
+        state._m_hat = np.empty_like(params)
+    new, m_hat = np.empty_like(params), state._m_hat
+    m *= state.beta1
+    m += np.multiply(grad, 1.0 - state.beta1, out=new)
+    v *= state.beta2
+    v += np.multiply(np.multiply(grad, 1.0 - state.beta2, out=new), grad, out=new)
+    np.divide(m, 1.0 - state.beta1**state.step, out=m_hat)
+    v_hat = np.divide(v, 1.0 - state.beta2**state.step, out=new)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += state.eps
+    step = m_hat
+    step /= v_hat
+    step += np.multiply(params, state.weight_decay, out=new)
+    step *= lr
+    np.subtract(params, step, out=new)
     if not np.isfinite(new).all():
         raise TrainingError("optimizer produced non-finite parameters")
     return new

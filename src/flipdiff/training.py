@@ -11,7 +11,14 @@ import numpy as np
 
 from .errors import TrainingError
 from .losses import LossSpec, draw_clean_states, make_batch
-from .model import ModelConfig, OptimizerState, init_params, loss_and_grad, optimizer_step
+from .model import (
+    ModelConfig,
+    OptimizerState,
+    _training_workspace,
+    init_params,
+    loss_and_grad,
+    optimizer_step,
+)
 from .states import Distribution, EmpiricalSet
 
 LOG_HEADER = ("step", "loss_total", "loss_l2", "loss_e", "loss_ce", "clamped_frac")
@@ -69,6 +76,7 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
         decay_every=settings.decay_every, decay_rate=settings.decay_rate,
         step=start_step)
     ema_params = params.copy() if settings.ema else None
+    ema_step = np.empty_like(params) if settings.ema else None
     rows: list[tuple] = []
     for step in range(start_step, start_step + settings.steps):
         x0s = draw_clean_states(dataset, settings.batch_size, rng)
@@ -80,8 +88,10 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
                 f"(l2={parts['l2']!r}, e={parts['e']!r}, ce={parts['ce']!r})")
         params = optimizer_step(params, grad, state)
         if ema_params is not None:
-            ema_params = settings.ema_rate * ema_params + (1.0 - settings.ema_rate) * params
+            ema_params *= settings.ema_rate
+            ema_params += np.multiply(params, 1.0 - settings.ema_rate, out=ema_step)
         rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac))
+    _training_workspace.cache_clear()  # the run's buffers go with it
     if log_path is not None:
         write_log(log_path, rows)
     final = ema_params if ema_params is not None else params

@@ -223,3 +223,14 @@ def test_checkpoint_config_mismatch(tmp_path):
 def test_checkpoint_meta_d_must_match_model():
     with pytest.raises(fd.ConfigMismatchError):
         fd.save_checkpoint("/dev/null", fd.init_params(SMALL), SMALL, _meta(d=6))
+
+
+def test_optimizer_rejects_mismatched_state():
+    params = np.zeros(3)
+    for m, v in ((np.zeros(4), np.zeros(3)), (np.zeros(3), np.zeros(1)),
+                 (np.zeros(1), np.zeros(1)), (np.zeros((3, 1)), np.zeros(3))):
+        state = fd.OptimizerState(m=m.copy(), v=v.copy())
+        with pytest.raises(fd.TrainingError, match=r"shape .*\(3,\)"):
+            fd.optimizer_step(params, np.ones(3), state)
+        assert state.step == 0
+        assert (state.m == m).all() and (state.v == v).all()

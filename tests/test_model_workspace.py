@@ -1,0 +1,226 @@
+"""The denoiser's workspace forward/backward pass and in-place AdamW against
+the allocating forms they replaced (kept below as references), plus the
+aliasing and memory guarantees of the reused training workspace."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import flipdiff as fd
+from flipdiff.losses import PRESETS, draw_clean_states, loss_parts_and_pred_grad
+from flipdiff.model import _LN_EPS, _frequencies, _training_workspace, _views, loss_and_grad
+
+LAM, T_F = 1.0, 3.0
+SMALL = fd.ModelConfig(d=4, blocks=2, width=24, time_embed_dim=12, seed=3)
+D8 = fd.ModelConfig(d=8)
+
+
+# --- references: one fresh array per operation ---------------------------------
+
+def ref_silu(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return x * s
+
+
+def ref_silu_grad(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s * (1.0 + x * (1.0 - s))
+
+
+def ref_forward(params, config, ts, xs):
+    p = _views(params, config)
+    ang = ts[..., None] * _frequencies(config.time_embed_dim // 2)
+    feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+    z_t = feats @ p["w_time"].T + p["b_time"]
+    emb = ref_silu(z_t)
+    h = xs @ p["w_in"].T + p["b_in"]
+    cache = {"feats": feats, "z_t": z_t, "emb": emb, "xs": xs, "blocks": []}
+    for b in range(config.blocks):
+        mean = h.mean(axis=1, keepdims=True)
+        var = h.var(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + _LN_EPS)
+        xhat = (h - mean) * inv
+        normed = xhat * p[f"ln_g{b}"] + p[f"ln_b{b}"]
+        z1 = normed @ p[f"w1_{b}"].T + p[f"b1_{b}"] + emb @ p[f"u_{b}"].T
+        a1 = ref_silu(z1)
+        z2 = a1 @ p[f"w2_{b}"].T + p[f"b2_{b}"]
+        cache["blocks"].append({"inv": inv, "xhat": xhat, "normed": normed, "z1": z1, "a1": a1})
+        h = h + z2
+    logits = h @ p["w_out"].T + p["b_out"]
+    out = 1.0 / (1.0 + np.exp(-logits))
+    cache["h_final"] = h
+    cache["out"] = out
+    return out, cache
+
+
+def ref_backward(params, config, cache, d_out):
+    p = _views(params, config)
+    grad = np.zeros_like(params)
+    g = _views(grad, config)
+    out = cache["out"]
+    d_logits = d_out * out * (1.0 - out)
+    g["w_out"][...] = d_logits.T @ cache["h_final"]
+    g["b_out"][...] = d_logits.sum(axis=0)
+    dh = d_logits @ p["w_out"]
+    d_emb = np.zeros_like(cache["emb"])
+    for b in reversed(range(config.blocks)):
+        c = cache["blocks"][b]
+        dz2 = dh
+        g[f"w2_{b}"][...] = dz2.T @ c["a1"]
+        g[f"b2_{b}"][...] = dz2.sum(axis=0)
+        da1 = dz2 @ p[f"w2_{b}"]
+        dz1 = da1 * ref_silu_grad(c["z1"])
+        g[f"w1_{b}"][...] = dz1.T @ c["normed"]
+        g[f"b1_{b}"][...] = dz1.sum(axis=0)
+        g[f"u_{b}"][...] = dz1.T @ cache["emb"]
+        d_emb += dz1 @ p[f"u_{b}"]
+        d_normed = dz1 @ p[f"w1_{b}"]
+        g[f"ln_g{b}"][...] = (d_normed * c["xhat"]).sum(axis=0)
+        g[f"ln_b{b}"][...] = d_normed.sum(axis=0)
+        dxhat = d_normed * p[f"ln_g{b}"]
+        mean_dxhat = dxhat.mean(axis=1, keepdims=True)
+        mean_dxhat_xhat = (dxhat * c["xhat"]).mean(axis=1, keepdims=True)
+        dh_ln = c["inv"] * (dxhat - mean_dxhat - c["xhat"] * mean_dxhat_xhat)
+        dh = dh + dh_ln
+    g["w_in"][...] = dh.T @ cache["xs"]
+    g["b_in"][...] = dh.sum(axis=0)
+    dz_t = d_emb * ref_silu_grad(cache["z_t"])
+    g["w_time"][...] = dz_t.T @ cache["feats"]
+    g["b_time"][...] = dz_t.sum(axis=0)
+    return grad
+
+
+def ref_loss_and_grad(params, config, batch, spec):
+    out, cache = ref_forward(params, config, batch.t.astype(np.float64),
+                             batch.x_noised.astype(np.float64))
+    total, parts, d_out = loss_parts_and_pred_grad(batch, out, spec)
+    return total, ref_backward(params, config, cache, d_out), parts
+
+
+def ref_optimizer_step(params, grad, state):
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+    lr = state.current_lr()
+    state.step += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1**state.step)
+    v_hat = state.v / (1.0 - state.beta2**state.step)
+    return params - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * params)
+
+
+# --- bit equality -------------------------------------------------------------
+
+def _params(config, seed, scale=0.1):
+    rng = np.random.default_rng(seed)
+    return fd.init_params(config) + rng.normal(0, scale, fd.param_count(config))
+
+
+def _batch(config, n, seed):
+    rng = np.random.default_rng(seed)
+    return fd.make_batch(fd.sawtooth_params(config.d).sample(n, rng).samples, LAM, T_F, rng)
+
+
+@pytest.mark.parametrize("config", [SMALL, D8], ids=["small", "d8"])
+@pytest.mark.parametrize("w_scaled", [False, True])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_loss_and_grad_matches_reference(config, w_scaled, preset):
+    spec = dataclasses.replace(PRESETS[preset], w_scaled=w_scaled)
+    params = _params(config, 1)
+    for n in (37, 64):
+        batch = _batch(config, n, n)
+        total, grad, parts = loss_and_grad(params, config, batch, spec)
+        ref_total, ref_grad, ref_parts = ref_loss_and_grad(params, config, batch, spec)
+        assert total == ref_total and parts == ref_parts
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 205, 256])
+def test_predict_batch_matches_reference(n):
+    params = _params(D8, 2, scale=0.3)
+    rng = np.random.default_rng(n)
+    xs = rng.integers(0, 2, (n, D8.d)).astype(float)
+    ts = rng.uniform(0, T_F, n)
+    for t in (np.asarray(0.7), ts):
+        out = fd.predict_batch(params, D8, t, xs)
+        assert out.tobytes() == ref_forward(params, D8, t, xs)[0].tobytes()
+
+
+def test_optimizer_steps_match_reference():
+    rng = np.random.default_rng(3)
+    params = _params(SMALL, 3)
+    settings = dict(lr=1e-2, weight_decay=0.05, decay_every=2, decay_rate=0.5)
+    state, ref_state = fd.OptimizerState(**settings), fd.OptimizerState(**settings)
+    new, ref = params, params
+    for _ in range(5):
+        grad = rng.normal(0, 1, params.size)
+        new = fd.optimizer_step(new, grad, state)
+        ref = ref_optimizer_step(ref, grad, ref_state)
+        assert new.tobytes() == ref.tobytes()
+    assert state.step == ref_state.step == 5
+    assert state.m.tobytes() == ref_state.m.tobytes()
+    assert state.v.tobytes() == ref_state.v.tobytes()
+
+
+def test_ema_training_run_matches_reference():
+    dist = fd.sawtooth_params(4)
+    spec = fd.LossSpec(1, 1, 1, w_scaled=True)
+    settings = fd.TrainSettings(steps=25, batch_size=48, lr=3e-3, weight_decay=0.01,
+                                decay_every=10, decay_rate=0.8, ema=True, ema_rate=0.9)
+    res = fd.train(dist, SMALL, spec, settings, LAM, T_F, np.random.default_rng(4))
+
+    rng = np.random.default_rng(4)
+    params = fd.init_params(SMALL)
+    ema = params.copy()
+    state = fd.OptimizerState(lr=settings.lr, weight_decay=settings.weight_decay,
+                              decay_every=settings.decay_every, decay_rate=settings.decay_rate)
+    rows = []
+    for step in range(settings.steps):
+        batch = fd.make_batch(draw_clean_states(dist, settings.batch_size, rng), LAM, T_F, rng)
+        total, grad, parts = ref_loss_and_grad(params, SMALL, batch, spec)
+        params = ref_optimizer_step(params, grad, state)
+        ema = settings.ema_rate * ema + (1.0 - settings.ema_rate) * params
+        rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac))
+    assert res.log_rows == rows
+    assert res.params.tobytes() == ema.tobytes()
+    assert _training_workspace.cache_info().currsize == 0  # released with the run
+
+
+# --- aliasing and memory --------------------------------------------------------
+
+def test_returned_arrays_never_alias_the_workspace():
+    params = _params(SMALL, 5, scale=0.3)
+    spec = fd.LossSpec(1, 1, 1)
+    xs = np.random.default_rng(5).integers(0, 2, (20, SMALL.d)).astype(float)
+    _, grad, _ = loss_and_grad(params, SMALL, _batch(SMALL, 32, 1), spec)
+    out = fd.predict_batch(params, SMALL, 0.4, xs)
+    held = grad.copy(), out.copy()
+    for n, seed in ((32, 2), (17, 3), (32, 4)):
+        fd.predict_batch(params, SMALL, np.full(20, 1.1), 1.0 - xs)
+        _, later, _ = loss_and_grad(params + 0.01, SMALL, _batch(SMALL, n, seed), spec)
+        assert not np.shares_memory(later, grad)
+    assert grad.tobytes() == held[0].tobytes()
+    assert out.tobytes() == held[1].tobytes()
+
+
+def test_training_step_peak_memory_is_bounded():
+    params = _params(D8, 6, scale=0.05)
+    batch = _batch(D8, 512, 7)
+    spec = fd.LossSpec(1, 0, 0, w_scaled=True)
+    state = fd.OptimizerState()
+    for _ in range(2):  # warm up: the workspace and the optimizer moments
+        _, grad, _ = loss_and_grad(params, D8, batch, spec)
+        params = fd.optimizer_step(params, grad, state)
+    tracemalloc.start()
+    try:
+        _, grad, _ = loss_and_grad(params, D8, batch, spec)
+        params = fd.optimizer_step(params, grad, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the new gradient and parameters take 1.4 MB; one fresh array per
+    # activation and optimizer term would peak near 12 MB
+    assert peak < 4e6
