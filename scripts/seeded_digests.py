@@ -1,7 +1,7 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
 marginal, the validate-bounds report, the sliced Wasserstein metric, the
 exact dense denoiser, ``propagate_mass`` at d=8, two samplers on a d=8
-learned source, and two training runs.
+learned source, two training runs, and single-chain discretized draws.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
 change meant to be exact can be checked with one diff:
@@ -104,6 +104,7 @@ def main() -> int:
         lines.append(f"swd/{name} {hashlib.sha256(est.to_json().encode()).hexdigest()}")
     lines += d8_lines(srcs["exact-dense-d4"])
     lines += training_lines()
+    lines.append(single_chain_line(srcs))
     print("\n".join(lines))
     return 0
 
@@ -156,6 +157,18 @@ def training_lines() -> list[str]:
         res = fd.train(data, model, loss, settings, lam, t_f, np.random.default_rng(40))
         lines.append(f"{name} {digest(res.params, np.array(res.log_rows))}")
     return lines
+
+
+def single_chain_line(srcs) -> str:
+    """200 single-chain ``sample_discretized`` draws per source, all from one
+    generator, and four numbers drawn after them, so the line also shows
+    whether the draws left the random stream where they found it. Every
+    source has d < 8, where the batch form's row totals equal ``.sum()``."""
+    rng = np.random.default_rng(32)
+    schedule = fd.time_grid("cosine", 40, T_F)
+    draws = [np.stack([fd.sample_discretized(src, schedule, LAM, rng) for _ in range(200)])
+             for src in srcs.values()]
+    return f"single-chain/discrete {digest(*draws, rng.random(4))}"
 
 
 if __name__ == "__main__":

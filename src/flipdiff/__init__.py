@@ -57,15 +57,12 @@ from .score import (
     backward_rates,
     clamp_forward_time,
     denoiser_from_score,
-    exact_denoiser,
-    exact_score,
     score_from_denoiser,
     score_target,
 )
 from .schedules import FlipSchedule, TimeSchedule, flip_counts, time_grid
 from .model import (
     CheckpointMeta,
-    DenoiserNet,
     ModelConfig,
     OptimizerState,
     check_compatible,
@@ -95,6 +92,8 @@ from .samplers import (
     LearnedScoreSource,
     RecordingScoreSource,
     ShiftedScoreSource,
+    exact_denoiser,
+    exact_score,
     generate,
     read_samples,
     sample_continuous_batch,

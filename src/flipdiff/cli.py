@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, load_config, substream
 from .errors import ConfigError, FlipdiffError
-from .forward import alpha, kernel1, marginal_table
+from .forward import alpha, kernel1, marginal, marginal_table
 from .metrics import (
     exact_backward_marginal,
     estimate_score_error,
@@ -304,7 +304,7 @@ def cmd_forward_diag(config: RunConfig, times: list[float]) -> int:
     elif isinstance(dist, ProductBernoulli):
         print("\nper-bit marginal P(bit=1):")
         for t in times:
-            probs = 0.5 + (dist.probs - 0.5) * alpha(t, config.lam)
+            probs = marginal(dist, t, config.lam).probs
             print(f"t={t:g}: " + " ".join(f"{p:.5f}" for p in probs))
     return 0
 

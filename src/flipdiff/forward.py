@@ -22,7 +22,6 @@ from .states import (
     ProductBernoulli,
     as_bits,
     check_enum_limit,
-    state_indices,
 )
 
 
@@ -188,7 +187,3 @@ def simulate_paths_terminal(x0, params: ForwardParams, n: int, rng: np.random.Ge
         out[k] = bits ^ (flips & 1).astype(np.int8)
     return out
 
-
-def empirical_table(states: np.ndarray, d: int) -> np.ndarray:
-    """Frequency vector over state indices for an (n, d) batch of states."""
-    return np.bincount(state_indices(states), minlength=1 << d) / states.shape[0]

@@ -289,18 +289,6 @@ def predict(params: np.ndarray, config: ModelConfig, t: float, x) -> np.ndarray:
     return predict_batch(params, config, np.array([t]), np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-class DenoiserNet:
-    """Callable (ts, xs) -> predictions, the denoiser-function interface the
-    losses consume; also exposed by the exact oracle for comparison tests."""
-
-    def __init__(self, params: np.ndarray, config: ModelConfig):
-        self.params = np.asarray(params, dtype=np.float64)
-        self.config = config
-
-    def __call__(self, ts, xs) -> np.ndarray:
-        return predict_batch(self.params, self.config, ts, xs)
-
-
 def loss_and_grad(params: np.ndarray, config: ModelConfig, batch, loss_spec):
     """Combined training loss and its gradient in parameter space.
 

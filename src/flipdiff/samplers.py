@@ -13,10 +13,14 @@ time from 0 to the schedule horizon, driven by a score source:
 - ``sample_denoise_renoise``: alternating full denoise and partial renoise
   moves using the denoiser head directly.
 
-Each sampler has a single-chain form (explicit rng, mirrors the pseudo-code)
-and a ``*_batch`` form vectorized across chains for Monte-Carlo studies; the
-batch forms draw all randomness from one generator, so output sets are
-deterministic given (seed, n).
+Each sampler has a ``*_batch`` form vectorized across chains that draws all
+randomness from one generator, so output sets are deterministic given
+(seed, n). ``sample_discretized`` and ``sample_denoise_renoise`` are that form
+at n = 1. The continuous and per-coordinate single-chain forms keep their own
+loop: they interpolate the rate after a jump where the batch forms hold it,
+and run faster per chain. ``sample_flip_schedule`` runs the shared discretized
+clock loop with a sequential without-replacement draw, the reference the batch
+form's exponential races are tested against.
 """
 
 from __future__ import annotations
@@ -26,19 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidScoreError, SamplerError
+from .errors import SamplerError
 from .forward import alpha, propagate_mass
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
-from .score import score_from_denoiser
-from .states import (
-    Distribution,
-    EmpiricalSet,
-    ProductBernoulli,
-    all_states,
-    as_bits,
-    state_indices,
-)
+from .score import _check_rates, score_from_denoiser
+from .states import Distribution, EmpiricalSet, ProductBernoulli, as_bits, state_indices
 
 MICRO_STEP_SCALE = 1e-3  # micro quadrature step as a fraction of the horizon
 _MAX_PASSES = 100_000
@@ -67,6 +64,11 @@ class ExactScoreSource:
             raise ValueError("backward time exceeds the horizon t_f")
         return u
 
+    def _product_marginal(self, u):
+        """alpha(u) as a column and the product marginal's P(bit = 1) per coordinate."""
+        a_u = np.asarray(alpha(u, self.lam))[..., None]
+        return a_u, 0.5 + (self.dist.probs - 0.5) * a_u
+
     def _dense_score(self, u, X) -> np.ndarray:
         """Score of a dense law at one forward time: one propagation, then a
         gather of each row's mass and its d single-bit flips."""
@@ -90,7 +92,7 @@ class ExactScoreSource:
             return self._dense_score(u, X)
         # entry (c, b) is the score of coordinate c reading bit b, from the
         # same arithmetic as score_rows
-        q1 = 0.5 + (self.dist.probs - 0.5) * alpha(u, self.lam)
+        _, q1 = self._product_marginal(u)
         p = np.stack([1.0 - q1, q1], axis=1)
         table = 1.0 - (1.0 - p) / p
         return table.ravel()[np.arange(0, 2 * self.d, 2) + (X == 1)]
@@ -104,8 +106,7 @@ class ExactScoreSource:
         X = self._check(X)
         u = self._forward_time(ts)
         if isinstance(self.dist, ProductBernoulli):
-            a_u = alpha(u, self.lam)[:, None]
-            q1 = 0.5 + (self.dist.probs[None, :] - 0.5) * a_u
+            _, q1 = self._product_marginal(u)
             p_here = np.where(X == 1, q1, 1.0 - q1)
             return 1.0 - (1.0 - p_here) / p_here
         out = np.empty(X.shape, dtype=np.float64)
@@ -118,8 +119,7 @@ class ExactScoreSource:
         X = self._check(X)
         u = self._forward_time(ts)
         if isinstance(self.dist, ProductBernoulli):
-            a_u = alpha(u, self.lam)[:, None]
-            q1 = 0.5 + (self.dist.probs[None, :] - 0.5) * a_u
+            a_u, q1 = self._product_marginal(u)
             p_here = np.where(X == 1, q1, 1.0 - q1)
             prior_other = np.where(X == 1, 1.0 - self.dist.probs[None, :],
                                    self.dist.probs[None, :])
@@ -143,12 +143,19 @@ class ExactScoreSource:
     def denoiser(self, t: float, x) -> np.ndarray:
         return self.denoiser_batch(t, as_bits(x)[None, :])[0]
 
-    def score_table(self, t: float) -> np.ndarray:
-        return self.score_batch(t, all_states(self.d))
-
     def as_model(self):
         """Denoiser-function view (ts, xs) -> predictions, for loss evaluation."""
         return self.denoiser_rows
+
+
+def exact_score(mu0: Distribution, t: float, x, lam: float, t_f: float) -> np.ndarray:
+    """Score vector of one state at backward time t from the exact forward marginal."""
+    return ExactScoreSource(mu0, lam, t_f).score(t, x)
+
+
+def exact_denoiser(mu0: Distribution, t: float, x, lam: float, t_f: float) -> np.ndarray:
+    """Posterior flip probabilities of one state at backward time t."""
+    return ExactScoreSource(mu0, lam, t_f).denoiser(t, x)
 
 
 class LearnedScoreSource:
@@ -197,12 +204,6 @@ class LearnedScoreSource:
 
     def denoiser(self, t: float, x) -> np.ndarray:
         return self.denoiser_batch(t, as_bits(x)[None, :])[0]
-
-    def score_table(self, t: float) -> np.ndarray:
-        return self.score_batch(t, all_states(self.d))
-
-    def as_model(self):
-        return self.denoiser_rows
 
 
 class ShiftedScoreSource:
@@ -258,17 +259,8 @@ class RecordingScoreSource:
 
 
 def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
-    """Backward flip rates lam*(1 - s) for a batch, validated nonnegative."""
-    rates = lam * (1.0 - src.score_batch(t, X))
-    if rates.size == 0:
-        return rates
-    # NaN propagates through both reductions and +-inf reaches one of them
-    lo, hi = rates.min(), rates.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise SamplerError(f"non-finite backward rate at t={t!r}")
-    if lo < -lam * 1e-9:
-        raise InvalidScoreError(f"negative backward rate at t={t!r}")
-    return np.maximum(rates, 0.0) if lo < 0 else rates
+    """Backward flip rates lam*(1 - s) for a batch, validated by ``_check_rates``."""
+    return _check_rates(lam * (1.0 - src.score_batch(t, X)), lam, t)
 
 
 def _row_totals(rates: np.ndarray) -> np.ndarray:
@@ -503,33 +495,12 @@ def sample_percoord_batch(src, n: int, rng: np.random.Generator,
 # --- discretized samplers ---------------------------------------------------
 
 
-def sample_discretized(src, schedule: TimeSchedule, lam: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """One chain of the piecewise-constant-score sampler: the rate accumulator
-    carries across grid intervals and at most one bit flips per interval."""
-    x = _uniform_start(1, src.d, rng)
-    accum = 0.0
-    threshold = rng.exponential()
-    grid = schedule.grid
-    for k in range(schedule.n_steps):
-        rates = _rate_rows(src, grid[k], x, lam)[0]
-        total = rates.sum()
-        accum += total * (grid[k + 1] - grid[k])
-        if accum > threshold and total > 0:
-            coord = int(_categorical_rows(rates[None, :], rng)[0])
-            x[0, coord] ^= 1
-            accum = 0.0
-            threshold = rng.exponential()
-    return x[0]
-
-
-def sample_discretized_batch(src, schedule: TimeSchedule, lam: float, n: int,
-                             rng: np.random.Generator,
-                             record_grid: bool = False):
-    """Vectorized piecewise-constant sampler; optionally also returns the chain
-    states at every grid time (for score-error estimation)."""
-    d = src.d
-    X = _uniform_start(n, d, rng)
+def _clock_loop(src, schedule: TimeSchedule, lam: float, n: int, rng: np.random.Generator,
+                choose, record_grid: bool = False):
+    """Piecewise-constant-score chains with carried rate accumulators; on crossings
+    in interval k, ``choose(rates, k, rng)`` names the (row, column) pairs to flip.
+    Returns the final states and, if ``record_grid``, the states at each grid time."""
+    X = _uniform_start(n, src.d, rng)
     accum = np.zeros(n)
     thresh = rng.exponential(size=n)
     grid = schedule.grid
@@ -543,66 +514,55 @@ def sample_discretized_batch(src, schedule: TimeSchedule, lam: float, n: int,
         crossed = (accum > thresh) & (total > 0)
         if crossed.any():
             idx = np.flatnonzero(crossed)
-            coords = _categorical_rows(rates[idx], rng)
-            X[idx, coords] ^= 1
+            rows, cols = choose(rates[idx], k, rng)
+            X[idx[rows], cols] ^= 1
             accum[idx] = 0.0
             thresh[idx] = rng.exponential(size=idx.size)
-    if record_grid:
-        return X, recorded
-    return X
+    return X, recorded
+
+
+def sample_discretized(src, schedule: TimeSchedule, lam: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One chain of ``sample_discretized_batch``, drawing the same randomness."""
+    return sample_discretized_batch(src, schedule, lam, 1, rng)[0]
+
+
+def sample_discretized_batch(src, schedule: TimeSchedule, lam: float, n: int,
+                             rng: np.random.Generator,
+                             record_grid: bool = False):
+    """Vectorized piecewise-constant sampler, one rate-weighted flip per crossing;
+    optionally also returns the states at every grid time (for score-error estimation)."""
+    def one_coordinate(w, k, rng):
+        return np.arange(w.shape[0]), _categorical_rows(w, rng)
+
+    X, recorded = _clock_loop(src, schedule, lam, n, rng, one_coordinate, record_grid)
+    return (X, recorded) if record_grid else X
 
 
 def sample_flip_schedule(src, schedule: TimeSchedule, flips: FlipSchedule, lam: float,
                          rng: np.random.Generator) -> np.ndarray:
-    """One chain of the flip-schedule sampler: on a clock crossing in interval
-    k, flip counts[k] distinct coordinates drawn without replacement."""
-    d = src.d
-    x = _uniform_start(1, d, rng)
-    accum = 0.0
-    threshold = rng.exponential()
-    grid = schedule.grid
-    for k in range(schedule.n_steps):
-        rates = _rate_rows(src, grid[k], x, lam)[0]
-        total = rates.sum()
-        accum += total * (grid[k + 1] - grid[k])
-        if accum > threshold and total > 0:
-            m = min(int(flips.counts[k]), d)
-            chosen = weighted_without_replacement(rates, m, rng)
-            x[0, chosen] ^= 1
-            accum = 0.0
-            threshold = rng.exponential()
-    return x[0]
+    """One chain of the flip-schedule sampler: a crossing in interval k flips
+    counts[k] distinct coordinates, drawn by ``weighted_without_replacement``."""
+    def sequential(w, k, rng):
+        chosen = weighted_without_replacement(w[0], min(int(flips.counts[k]), src.d), rng)
+        return np.zeros_like(chosen), chosen
+
+    return _clock_loop(src, schedule, lam, 1, rng, sequential)[0][0]
 
 
 def sample_flip_schedule_batch(src, schedule: TimeSchedule, flips: FlipSchedule,
                                lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized flip-schedule sampler; the without-replacement draw uses
     exponential races, equal in law to sequential draw-remove-renormalize."""
-    d = src.d
-    X = _uniform_start(n, d, rng)
-    accum = np.zeros(n)
-    thresh = rng.exponential(size=n)
-    grid = schedule.grid
-    for k in range(schedule.n_steps):
-        rates = _rate_rows(src, grid[k], X, lam)
-        total = _row_totals(rates)
-        accum += total * (grid[k + 1] - grid[k])
-        crossed = (accum > thresh) & (total > 0)
-        if crossed.any():
-            idx = np.flatnonzero(crossed)
-            m = min(int(flips.counts[k]), d)
-            w = rates[idx]
-            with np.errstate(divide="ignore"):
-                keys = rng.exponential(size=w.shape) / w
-            order = np.argsort(keys, axis=1)
-            ranks = np.empty_like(order)
-            np.put_along_axis(ranks, order, np.arange(d)[None, :].repeat(idx.size, 0), axis=1)
-            m_eff = np.minimum(m, (w > 0).sum(1))
-            chosen = (ranks < m_eff[:, None]) & (w > 0)
-            X[idx] ^= chosen.astype(np.int8)
-            accum[idx] = 0.0
-            thresh[idx] = rng.exponential(size=idx.size)
-    return X
+    def races(w, k, rng):
+        m = min(int(flips.counts[k]), w.shape[1])
+        with np.errstate(divide="ignore"):
+            keys = rng.exponential(size=w.shape) / w
+        ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
+        m_eff = np.minimum(m, (w > 0).sum(1))
+        return np.nonzero((ranks < m_eff[:, None]) & (w > 0))
+
+    return _clock_loop(src, schedule, lam, n, rng, races)[0]
 
 
 # --- denoise-renoise ---------------------------------------------------------

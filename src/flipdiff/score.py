@@ -1,4 +1,5 @@
-"""Exact discrete score and denoiser for enumerable data distributions.
+"""Discrete score and denoiser algebra: the forward-time floor, the regression
+target, the affine score/denoiser map, and backward-rate validation.
 
 Backward time t runs from 0 (pure noise) to t_f (data); the corresponding
 forward/noise time is u = t_f - t. The score at a state x is the vector
@@ -9,15 +10,21 @@ the discrete analogue of the gradient of log mu, and the denoiser is the
 posterior flip probability d^l(x) = P(X_0^l != x^l | X_u = x). The two are
 related coordinatewise by the affine map implemented in
 ``score_from_denoiser``; samplers need only 1 - s^l >= 0.
+
+The exact values for an enumerable data law come from one implementation,
+``samplers.ExactScoreSource``; ``exact_score`` and ``exact_denoiser`` are its
+single-state forms and live next to it. Backward rates are validated once, in
+``_check_rates``: the samplers' batched ``_rate_rows`` and the single-vector
+``backward_rates`` below both call it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidScoreError
-from .forward import alpha, marginal, propagate_mass
-from .states import Distribution, ProductBernoulli, as_bits, state_indices
+from .errors import InvalidScoreError, SamplerError
+# unused here, but perfbench/layers.py wraps score.propagate_mass
+from .forward import alpha, propagate_mass  # noqa: F401
 
 # Forward-time floor: the coefficients 4a/(1-a^2) blow up as the forward time
 # approaches 0 (a -> 1); clamping keeps losses and reparameterized scores
@@ -25,6 +32,22 @@ from .states import Distribution, ProductBernoulli, as_bits, state_indices
 T_MIN = 1e-4
 
 RATE_TOL = 1e-9
+
+
+def _check_rates(rates: np.ndarray, lam: float, t=None) -> np.ndarray:
+    """Validate backward rates lam*(1 - s): all finite and none below
+    -lam*RATE_TOL; negatives within that tolerance are clamped to 0."""
+    if rates.size == 0:
+        return rates
+    # NaN propagates through both reductions and +-inf reaches one of them
+    lo, hi = rates.min(), rates.max()
+    finite = np.isfinite(lo) and np.isfinite(hi)
+    if finite and lo >= -lam * RATE_TOL:
+        return np.maximum(rates, 0.0) if lo < 0 else rates
+    where = "" if t is None else f" at t={t!r}"
+    if not finite:
+        raise SamplerError(f"non-finite backward rate{where}")
+    raise InvalidScoreError(f"negative backward rate{where}")
 
 
 def clamp_forward_time(u):
@@ -63,57 +86,12 @@ def denoiser_from_score(svec, t, lam: float, t_f: float):
     return (a_coef - np.asarray(svec, dtype=np.float64)) / b_coef
 
 
-def exact_score(mu0: Distribution, t: float, x, lam: float, t_f: float) -> np.ndarray:
-    """Score vector at backward time t from the exact forward marginal."""
-    bits = as_bits(x)
-    u = t_f - t
-    if u < 0:
-        raise ValueError("backward time exceeds the horizon t_f")
-    mu_u = marginal(mu0, u, lam)
-    if isinstance(mu_u, ProductBernoulli):
-        p_here = np.where(bits == 1, mu_u.probs, 1.0 - mu_u.probs)
-        p_flip = 1.0 - p_here
-        return 1.0 - p_flip / p_here
-    mass = mu_u.mass
-    idx = int(state_indices(bits[None, :])[0])
-    here = mass[idx]
-    if here <= 0.0:
-        raise ValueError(f"state {bits.tolist()} has zero mass at forward time {u!r}")
-    flipped = mass[idx ^ (1 << np.arange(bits.size))]
-    return 1.0 - flipped / here
-
-
-def exact_denoiser(mu0: Distribution, t: float, x, lam: float, t_f: float) -> np.ndarray:
-    """Posterior flip probabilities by brute-force Bayes over all clean states.
-
-    Component l is sum_z 1{z_l != x_l} mu0(z) p_u(z, x) / mu_u(x) with
-    u = t_f - t; requires d within the enumeration limit.
-    """
-    bits = as_bits(x)
-    u = t_f - t
-    if u < 0:
-        raise ValueError("backward time exceeds the horizon t_f")
-    table = mu0.to_table()
-    idx = int(state_indices(bits[None, :])[0])
-    denom = propagate_mass(table.mass, u, lam)[idx]
-    if denom <= 0.0:
-        raise ValueError(f"state {bits.tolist()} is unreachable at forward time {u!r}")
-    numer = np.array([
-        propagate_mass(table.mass, u, lam, flip_only_coord=coord)[idx]
-        for coord in range(bits.size)
-    ])
-    return numer / denom
-
-
 def backward_rates(svec, lam: float) -> tuple[float, np.ndarray | None]:
     """Total backward jump rate and coordinate flip weights for a score vector.
 
     Weights are None when the total rate vanishes; the caller must not jump.
     """
-    rates = lam * (1.0 - np.asarray(svec, dtype=np.float64))
-    if (rates < -lam * RATE_TOL).any():
-        raise InvalidScoreError(f"negative backward rate from score {np.asarray(svec)!r}")
-    rates = np.maximum(rates, 0.0)
+    rates = _check_rates(lam * (1.0 - np.asarray(svec, dtype=np.float64)), lam)
     total = float(rates.sum())
     if total == 0.0:
         return 0.0, None

@@ -3,6 +3,7 @@ grid contracts, and dump I/O."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flipdiff as fd
 from _stats import assert_uniform_chi2, chi2_pvalue, ALPHA_3SIGMA
@@ -48,12 +49,24 @@ def test_exact_source_product_matches_dense():
 
 
 def test_exact_source_matches_oracle_functions():
+    """The source and the oracle functions against a brute-force posterior
+    over all clean states, built from the forward kernel alone."""
     dist = fd.DenseTable.normalized(np.random.default_rng(1).uniform(0.1, 1, 16))
     src = exact_src(dist)
-    x = np.array([1, 0, 1, 0])
-    for t in (0.4, 2.2):
-        assert np.allclose(src.score(t, x), fd.exact_score(dist, t, x, LAM, 3.0), atol=1e-12)
-        assert np.allclose(src.denoiser(t, x), fd.exact_denoiser(dist, t, x, LAM, 3.0), atol=1e-12)
+    states = fd.all_states(4)
+    for t in (0.0, 0.4, 2.2, 3.0 - 1e-6):
+        u = 3.0 - t
+        joint = np.array([[dist.mass[i] * fd.kernel(z, x, u, LAM) for i, z in enumerate(states)]
+                          for x in states])  # joint[x, z] = mu0(z) p_u(z, x)
+        marg = joint.sum(axis=1)
+        for i, x in enumerate(states):
+            flipped = [marg[fd.state_index(fd.flip(x, ell))] for ell in range(4)]
+            score = 1.0 - np.array(flipped) / marg[i]
+            denoiser = (joint[i] / marg[i]) @ (states != x)
+            for got in (src.score(t, x), fd.exact_score(dist, t, x, LAM, 3.0)):
+                assert np.allclose(got, score, atol=1e-12)
+            for got in (src.denoiser(t, x), fd.exact_denoiser(dist, t, x, LAM, 3.0)):
+                assert np.allclose(got, denoiser, atol=1e-12)
 
 
 def test_learned_source_scores_satisfy_rate_positivity():
@@ -210,6 +223,27 @@ def test_rate_rows_validation():
     assert (fd.samplers._rate_rows(ok, 1.0, X, lam) == lam * (1.0 - ok.svec)).all()
     empty = fd.samplers._rate_rows(ok, 1.0, np.zeros((0, 2), dtype=np.int8), lam)
     assert empty.shape == (0, 2)
+
+
+@st.composite
+def dense_law_and_time(draw):
+    d = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=1 << d, max_size=1 << d))
+    t = draw(st.floats(0.0, 3.0, exclude_max=True))
+    return fd.DenseTable.normalized(weights), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_law_and_time())
+def test_exact_rates_are_valid_and_match_backward_rates(case):
+    dist, t = case
+    src, X = exact_src(dist), fd.all_states(dist.d)
+    rates = fd.samplers._rate_rows(src, t, X, LAM)
+    assert np.isfinite(rates).all() and (rates >= 0).all()
+    for svec, row in zip(src.score_batch(t, X), rates):
+        total, weights = fd.backward_rates(svec, LAM)
+        assert total == row.sum()
+        assert (weights == row / total).all()
 
 
 def test_row_totals_match_numpy_row_sums():

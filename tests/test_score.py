@@ -151,6 +151,12 @@ def test_backward_rates_invalid_score():
         fd.backward_rates(np.array([1.5, 0.0]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_backward_rates_rejects_non_finite_score(bad):
+    with pytest.raises(fd.SamplerError):
+        fd.backward_rates(np.array([bad, 0.0]), 1.0)
+
+
 def test_weights_sum_to_one_random():
     rng = np.random.default_rng(3)
     for _ in range(50):
