@@ -1,6 +1,6 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
 marginal, the validate-bounds report, the sliced Wasserstein metric, the
-exact dense denoiser, ``propagate_mass`` at d=8, two samplers on a d=8
+exact dense denoiser, ``propagate_mass`` at d=8, three samplers on a d=8
 learned source, two training runs, and single-chain discretized draws.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
@@ -112,9 +112,9 @@ def main() -> int:
 def d8_lines(dense_src) -> list[str]:
     """Outputs added after the first 20 lines: the dense denoiser (d+1
     propagations each, flip_only_coord included), propagate_mass at d=8, and
-    the continuous and discretized samplers at d=8, where a rate row has 8
-    entries. A fresh model predicts exactly 0.5, so its weights are perturbed
-    to give distinct rates per coordinate."""
+    the continuous, discretized and per-coordinate samplers at d=8, where a
+    rate row has 8 entries. A fresh model predicts exactly 0.5, so its
+    weights are perturbed to give distinct rates per coordinate."""
     rng = np.random.default_rng(30)
     ts = rng.uniform(0.0, T_F, size=64)
     states = rng.integers(0, 2, size=(64, 4), dtype=np.int8)
@@ -135,6 +135,8 @@ def d8_lines(dense_src) -> list[str]:
     disc = fd.sample_discretized_batch(src, schedule, LAM, 2000, np.random.default_rng([31, 1]))
     lines.append(f"learned-d8/continuous {digest(*cont)}")
     lines.append(f"learned-d8/discrete {digest(disc)}")
+    percoord = fd.sample_percoord_batch(src, 300, np.random.default_rng([31, 2]))
+    lines.append(f"learned-d8/percoord {digest(percoord)}")
     return lines
 
 

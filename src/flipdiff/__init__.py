@@ -101,8 +101,6 @@ from .samplers import (
     sample_denoise_renoise_batch,
     sample_discretized,
     sample_discretized_batch,
-    sample_exact_continuous,
-    sample_exact_percoord,
     sample_flip_schedule,
     sample_flip_schedule_batch,
     sample_percoord_batch,

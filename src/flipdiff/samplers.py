@@ -3,9 +3,9 @@
 All samplers start from the uniform distribution on {0,1}^d and run backward
 time from 0 to the schedule horizon, driven by a score source:
 
-- ``sample_exact_continuous``: exponential-clock thinning with the total rate
+- ``sample_continuous_batch``: exponential-clock thinning with the total rate
   integrated by micro-step quadrature (the idealized continuous-time scheme),
-- ``sample_exact_percoord``: the equivalent per-coordinate-clock formulation,
+- ``sample_percoord_batch``: the equivalent per-coordinate-clock formulation,
 - ``sample_discretized``: piecewise-constant score with a carried rate
   accumulator; at most one flip per grid interval,
 - ``sample_flip_schedule``: as above but flipping a scheduled number of
@@ -15,12 +15,13 @@ time from 0 to the schedule horizon, driven by a score source:
 
 Each sampler has a ``*_batch`` form vectorized across chains that draws all
 randomness from one generator, so output sets are deterministic given
-(seed, n). ``sample_discretized`` and ``sample_denoise_renoise`` are that form
-at n = 1. The continuous and per-coordinate single-chain forms keep their own
-loop: they interpolate the rate after a jump where the batch forms hold it,
-and run faster per chain. ``sample_flip_schedule`` runs the shared discretized
-clock loop with a sequential without-replacement draw, the reference the batch
-form's exponential races are tested against.
+(seed, n); one chain is the batch form at n = 1. The continuous and
+per-coordinate samplers share one micro-step clock loop, and differ only in
+the clocks it runs (one per chain on the total rate, or one per coordinate)
+and in how a crossing picks its coordinate. The discretized and flip-schedule
+samplers share one clock loop on the score held per grid interval;
+``sample_flip_schedule`` runs it with a sequential without-replacement draw,
+the reference the batch form's exponential races are tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import SamplerError
 from .forward import alpha, propagate_mass
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
-from .score import _check_rates, score_from_denoiser
+from .score import _check_rates, denoiser_from_score, score_from_denoiser
 from .states import Distribution, EmpiricalSet, ProductBernoulli, as_bits, state_indices
 
 MICRO_STEP_SCALE = 1e-3  # micro quadrature step as a fraction of the horizon
@@ -199,23 +200,16 @@ class LearnedScoreSource:
         dvec = self.denoiser_batch(t, X)
         return score_from_denoiser(dvec, t, self.lam, self.t_f)
 
-    def score(self, t: float, x) -> np.ndarray:
-        return self.score_batch(t, as_bits(x)[None, :])[0]
-
-    def denoiser(self, t: float, x) -> np.ndarray:
-        return self.denoiser_batch(t, as_bits(x)[None, :])[0]
-
 
 class ShiftedScoreSource:
     """Fault-injection wrapper: inflates every backward rate by a constant,
-    i.e. replaces 1 - s with (1 - s) + rate_bump."""
+    i.e. replaces 1 - s with (1 - s) + rate_bump; the denoiser is the one of
+    the shifted score."""
 
     def __init__(self, inner, rate_bump: float):
         self.inner = inner
         self.rate_bump = rate_bump
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+        self.d, self.lam, self.t_f = inner.d, inner.lam, inner.t_f
 
     def score_batch(self, t, X):
         return self.inner.score_batch(t, X) - self.rate_bump
@@ -223,8 +217,12 @@ class ShiftedScoreSource:
     def score_rows(self, ts, X):
         return self.inner.score_rows(ts, X) - self.rate_bump
 
-    def score(self, t, x):
-        return self.inner.score(t, x) - self.rate_bump
+    def denoiser_batch(self, t, X):
+        return denoiser_from_score(self.score_batch(t, X), t, self.lam, self.t_f)
+
+    def denoiser_rows(self, ts, X):
+        ts = np.asarray(ts, dtype=np.float64)
+        return denoiser_from_score(self.score_rows(ts, X), ts[:, None], self.lam, self.t_f)
 
 
 class RecordingScoreSource:
@@ -232,10 +230,8 @@ class RecordingScoreSource:
 
     def __init__(self, inner):
         self.inner = inner
+        self.d, self.lam, self.t_f = inner.d, inner.lam, inner.t_f
         self.times: list[float] = []
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
 
     def _log(self, t):
         arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -248,14 +244,6 @@ class RecordingScoreSource:
     def denoiser_batch(self, t, X):
         self._log(t)
         return self.inner.denoiser_batch(t, X)
-
-    def score(self, t, x):
-        self._log(t)
-        return self.inner.score(t, x)
-
-    def denoiser(self, t, x):
-        self._log(t)
-        return self.inner.denoiser(t, x)
 
 
 def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
@@ -306,190 +294,100 @@ def _uniform_start(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=(n, d), dtype=np.int8)
 
 
-# --- continuous-time thinning -------------------------------------------
+# --- micro-step clocks --------------------------------------------------------
 
 
-def sample_exact_continuous(src, rng: np.random.Generator, lam: float | None = None,
-                            micro_step: float | None = None,
-                            t_end: float | None = None) -> np.ndarray:
-    """One chain of the idealized continuous-time scheme.
+def _micro_step_loop(src, n: int, rng: np.random.Generator, lam: float, clock_rates, choose):
+    """Exponential clocks on the time-varying backward rates, integrated with
+    trapezoid micro steps of ``MICRO_STEP_SCALE * t_f`` from 0 to t_f.
 
-    The time-varying total rate is integrated with fixed micro steps
-    (trapezoid); the clock-crossing time is linearly interpolated inside the
-    final micro step, the flip coordinate drawn from the rates there.
+    ``clock_rates(rates)`` maps (m, d) rates to the (m, k) rates of each
+    chain's k clocks. A crossing time is linearly interpolated inside its
+    micro step; on a crossing, ``choose(t_cross, frac, lo, hi, rng)`` names
+    the coordinate to flip and the jump time from the (m, k) crossing times
+    (inf where a clock did not cross), their fractions of the step and the
+    rates at its two ends, and all k clocks of the chain restart. Returns the
+    final states and the jumps per chain.
     """
-    lam = src.lam if lam is None else lam
-    t_end = src.t_f if t_end is None else t_end
-    h = micro_step or MICRO_STEP_SCALE * src.t_f
-    x = _uniform_start(1, src.d, rng)
-    t = 0.0
-    acc = 0.0
-    threshold = rng.exponential()
-    r_prev = _rate_rows(src, t, x, lam)[0]
-    while t < t_end * (1.0 - 1e-15):
-        b = min(t + h, t_end)
-        r_next = _rate_rows(src, b, x, lam)[0]
-        inc = 0.5 * (r_prev.sum() + r_next.sum()) * (b - t)
-        if acc + inc >= threshold and inc > 0:
-            frac = (threshold - acc) / inc
-            t_star = t + frac * (b - t)
-            w = (1.0 - frac) * r_prev + frac * r_next
-            coord = int(_categorical_rows(w[None, :], rng)[0])
-            x[0, coord] ^= 1
-            t = t_star
-            acc = 0.0
-            threshold = rng.exponential()
-            r_prev = _rate_rows(src, t, x, lam)[0]
-        else:
-            acc += inc
-            t = b
-            r_prev = r_next
-    return x[0]
-
-
-def sample_continuous_batch(src, n: int, rng: np.random.Generator,
-                            lam: float | None = None, micro_step: float | None = None,
-                            t_end: float | None = None, return_jump_counts: bool = False):
-    """Vectorized continuous-time thinning across n chains."""
-    lam = src.lam if lam is None else lam
-    t_end = src.t_f if t_end is None else t_end
-    h = micro_step or MICRO_STEP_SCALE * src.t_f
-    d = src.d
-    X = _uniform_start(n, d, rng)
+    t_end = src.t_f
+    h = MICRO_STEP_SCALE * t_end
+    X = _uniform_start(n, src.d, rng)
     jumps = np.zeros(n, dtype=np.int64)
-    acc = np.zeros(n)
-    thresh = rng.exponential(size=n)
+    seg_hi = _rate_rows(src, 0.0, X, lam)
+    clk_hi = clock_rates(seg_hi)
+    k = clk_hi.shape[1]
+    acc = np.zeros((n, k))
+    thresh = rng.exponential(size=(n, k))
     t = 0.0
-    seg_hi = _rate_rows(src, t, X, lam)
-    tot_hi = _row_totals(seg_hi)
     while t < t_end * (1.0 - 1e-15):
         b = min(t + h, t_end)
-        # the crossing loop leaves seg_hi (and its row totals tot_hi) equal to
-        # the rates at (b, X), so the last step's end is this step's start
+        # the crossing passes leave seg_hi (and its clock rates clk_hi) equal
+        # to the rates at (b, X), so the last step's end is this step's start
         seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
-        tot_lo, tot_hi = tot_hi, _row_totals(seg_hi)
+        clk_lo, clk_hi = clk_hi, clock_rates(seg_hi)
         seg_start = np.full(n, t)
-        inc = 0.5 * (tot_lo + tot_hi) * (b - t)
-        idx = np.flatnonzero((acc + inc >= thresh) & (inc > 0))
+        inc = 0.5 * (clk_lo + clk_hi) * (b - t)
+        crossing = (acc + inc >= thresh) & (inc > 0)
+        idx = np.flatnonzero(crossing) if k == 1 else np.unique(np.flatnonzero(crossing) // k)
+        live = crossing[idx]
         for _ in range(_MAX_PASSES):
             if idx.size == 0:
                 break
-            frac = (thresh[idx] - acc[idx]) / inc[idx]
-            t_star = seg_start[idx] + frac * (b - seg_start[idx])
-            w = (1.0 - frac[:, None]) * seg_lo[idx] + frac[:, None] * seg_hi[idx]
-            coords = _categorical_rows(w, rng)
+            frac = np.divide(thresh[idx] - acc[idx], inc[idx], where=live,
+                             out=np.full((idx.size, k), np.inf))
+            start = seg_start[idx][:, None]
+            t_cross = start + frac * (b - start)
+            coords, t_star = choose(t_cross, frac, seg_lo[idx], seg_hi[idx], rng)
             X[idx, coords] ^= 1
             jumps[idx] += 1
             acc[idx] = 0.0
-            thresh[idx] = rng.exponential(size=idx.size)
+            thresh_new = rng.exponential(size=(idx.size, k))
+            thresh[idx] = thresh_new
             # remainder of the micro step with the flipped state; the rate is
             # held at its end-of-step value (O(h) bias, h is tiny)
             r_new = _rate_rows(src, b, X[idx], lam)
-            tot_new = _row_totals(r_new)
+            clk_new = clock_rates(r_new)
             seg_lo[idx] = r_new
             seg_hi[idx] = r_new
-            tot_hi[idx] = tot_new
+            clk_hi[idx] = clk_new
             seg_start[idx] = t_star
-            inc[idx] = tot_new * (b - t_star)
-            # only the rows that just jumped changed, so only they can cross again
-            idx = idx[(acc[idx] + inc[idx] >= thresh[idx]) & (inc[idx] > 0)]
+            inc_new = clk_new * (b - t_star)[:, None]
+            inc[idx] = inc_new
+            # only the rows that just jumped changed, so only they can cross
+            # again, and their accumulators are zero
+            live = (inc_new >= thresh_new) & (inc_new > 0)
+            again = live.any(axis=1)
+            idx, live = idx[again], live[again]
         else:
             raise SamplerError(f"crossing resolution did not settle at t={t!r}")
         acc += inc
         t = b
-    if return_jump_counts:
-        return X, jumps
-    return X
+    return X, jumps
 
 
-# --- per-coordinate clocks ------------------------------------------------
+def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | None = None,
+                            return_jump_counts: bool = False):
+    """Continuous-time thinning across n chains: one clock per chain on its
+    total rate; a crossing flips a coordinate drawn from the rates
+    interpolated to the crossing time."""
+    def interpolated(t_cross, frac, lo, hi, rng):
+        return _categorical_rows((1.0 - frac) * lo + frac * hi, rng), t_cross[:, 0]
 
-
-def sample_exact_percoord(src, rng: np.random.Generator, lam: float | None = None,
-                          micro_step: float | None = None,
-                          t_end: float | None = None) -> np.ndarray:
-    """One chain with d independent exponential clocks; the earliest crossing
-    flips its coordinate and all clocks restart."""
-    lam = src.lam if lam is None else lam
-    t_end = src.t_f if t_end is None else t_end
-    h = micro_step or MICRO_STEP_SCALE * src.t_f
-    d = src.d
-    x = _uniform_start(1, d, rng)
-    t = 0.0
-    while t < t_end * (1.0 - 1e-15):
-        thresh = rng.exponential(size=d)
-        acc = np.zeros(d)
-        tt = t
-        r_prev = _rate_rows(src, tt, x, lam)[0]
-        jumped = False
-        while tt < t_end * (1.0 - 1e-15):
-            b = min(tt + h, t_end)
-            r_next = _rate_rows(src, b, x, lam)[0]
-            inc = 0.5 * (r_prev + r_next) * (b - tt)
-            crossing = (acc + inc >= thresh) & (inc > 0)
-            if crossing.any():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    frac = np.where(crossing, (thresh - acc) / inc, np.inf)
-                t_cross = tt + frac * (b - tt)
-                coord = int(np.argmin(t_cross))
-                x[0, coord] ^= 1
-                t = float(t_cross[coord])
-                jumped = True
-                break
-            acc += inc
-            tt = b
-            r_prev = r_next
-        if not jumped:
-            break
-    return x[0]
+    X, jumps = _micro_step_loop(src, n, rng, src.lam if lam is None else lam,
+                                lambda r: _row_totals(r)[:, None], interpolated)
+    return (X, jumps) if return_jump_counts else X
 
 
 def sample_percoord_batch(src, n: int, rng: np.random.Generator,
-                          lam: float | None = None, micro_step: float | None = None,
-                          t_end: float | None = None) -> np.ndarray:
-    """Vectorized per-coordinate-clock sampler across n chains."""
-    lam = src.lam if lam is None else lam
-    t_end = src.t_f if t_end is None else t_end
-    h = micro_step or MICRO_STEP_SCALE * src.t_f
-    d = src.d
-    X = _uniform_start(n, d, rng)
-    acc = np.zeros((n, d))
-    thresh = rng.exponential(size=(n, d))
-    t = 0.0
-    seg_hi = _rate_rows(src, t, X, lam)
-    while t < t_end * (1.0 - 1e-15):
-        b = min(t + h, t_end)
-        # end-of-step rates carry over, as in sample_continuous_batch
-        seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
-        seg_start = np.full(n, t)
-        inc = 0.5 * (seg_lo + seg_hi) * (b - t)
-        crossing = (acc + inc >= thresh) & (inc > 0)
-        idx = np.unique(np.flatnonzero(crossing) // d)
-        for _ in range(_MAX_PASSES):
-            if idx.size == 0:
-                break
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.where(crossing[idx], (thresh[idx] - acc[idx]) / inc[idx], np.inf)
-            t_cross = seg_start[idx, None] + frac * (b - seg_start[idx, None])
-            coords = np.argmin(t_cross, axis=1)
-            t_star = t_cross[np.arange(idx.size), coords]
-            X[idx, coords] ^= 1
-            # all d clocks restart after a jump
-            thresh[idx] = rng.exponential(size=(idx.size, d))
-            acc[idx] = 0.0
-            r_new = _rate_rows(src, b, X[idx], lam)
-            seg_lo[idx] = r_new
-            seg_hi[idx] = r_new
-            seg_start[idx] = t_star
-            inc[idx] = r_new * (b - t_star)[:, None]
-            # only the rows that just jumped changed, so only they can cross again
-            crossing[idx] = (acc[idx] + inc[idx] >= thresh[idx]) & (inc[idx] > 0)
-            idx = idx[crossing[idx].any(axis=1)]
-        else:
-            raise SamplerError(f"crossing resolution did not settle at t={t!r}")
-        acc += inc
-        t = b
-    return X
+                          lam: float | None = None) -> np.ndarray:
+    """Per-coordinate clocks across n chains: one clock per coordinate on its
+    own rate; the earliest crossing flips its coordinate."""
+    def earliest(t_cross, frac, lo, hi, rng):
+        coords = np.argmin(t_cross, axis=1)
+        return coords, t_cross[np.arange(coords.size), coords]
+
+    return _micro_step_loop(src, n, rng, src.lam if lam is None else lam,
+                            lambda r: r, earliest)[0]
 
 
 # --- discretized samplers ---------------------------------------------------

@@ -80,6 +80,18 @@ def test_learned_source_scores_satisfy_rate_positivity():
         assert (1.0 - s > 0).all()
 
 
+def test_shifted_source_denoiser_follows_shifted_score():
+    """The wrapper's denoiser is the one of its shifted score, in both forms."""
+    src = fd.ShiftedScoreSource(exact_src(fd.sawtooth_params(3)), rate_bump=0.5)
+    X = fd.all_states(3)
+    ts = np.random.default_rng(33).uniform(0.0, 2.5, len(X))
+    for t in (0.0, 1.0, 2.5):
+        got = fd.score_from_denoiser(src.denoiser_batch(t, X), t, LAM, 3.0)
+        np.testing.assert_allclose(got, src.score_batch(t, X), rtol=0, atol=1e-12)
+    got = fd.score_from_denoiser(src.denoiser_rows(ts, X), ts[:, None], LAM, 3.0)
+    np.testing.assert_allclose(got, src.score_rows(ts, X), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.float64])
 def test_learned_source_dedup_keeps_row_order(dtype):
     cfg = fd.ModelConfig(d=4, blocks=2, width=24, time_embed_dim=12, seed=3)
@@ -305,24 +317,17 @@ def test_percoord_matches_continuous():
     assert tv < 0.02
 
 
-def test_single_chain_continuous_matches_batch_law():
+def test_continuous_matches_batch_law():
     dist = fd.sawtooth_params(2)
-    src = exact_src(dist)
-    rng = np.random.default_rng(10)
-    singles = np.stack([fd.sample_exact_continuous(src, rng) for _ in range(3000)])
-    batch = fd.sample_continuous_batch(src, 3000, np.random.default_rng(11))
-    exact = dist.to_table().mass
-    for states in (singles, batch):
-        counts = np.bincount(fd.state_indices(states), minlength=4)
-        assert chi2_pvalue(counts, exact) > ALPHA_3SIGMA
+    states = fd.sample_continuous_batch(exact_src(dist), 3000, np.random.default_rng(11))
+    counts = np.bincount(fd.state_indices(states), minlength=4)
+    assert chi2_pvalue(counts, dist.to_table().mass) > ALPHA_3SIGMA
 
 
-def test_single_chain_percoord_matches_law():
+def test_percoord_matches_law():
     dist = fd.sawtooth_params(2)
-    src = exact_src(dist)
-    rng = np.random.default_rng(12)
-    singles = np.stack([fd.sample_exact_percoord(src, rng) for _ in range(3000)])
-    counts = np.bincount(fd.state_indices(singles), minlength=4)
+    states = fd.sample_percoord_batch(exact_src(dist), 3000, np.random.default_rng(12))
+    counts = np.bincount(fd.state_indices(states), minlength=4)
     assert chi2_pvalue(counts, dist.to_table().mass) > ALPHA_3SIGMA
 
 
