@@ -1,7 +1,8 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
 marginal, the validate-bounds report, the sliced Wasserstein metric, the
-exact dense denoiser, ``propagate_mass`` at d=8, three samplers on a d=8
-learned source, two training runs, and single-chain discretized draws.
+exact dense denoiser and score, ``propagate_mass`` at d=8, three samplers
+on a d=8 learned source, two training runs, and single-chain discretized
+draws.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
 change meant to be exact can be checked with one diff:
@@ -111,14 +112,15 @@ def main() -> int:
 
 def d8_lines(dense_src) -> list[str]:
     """Outputs added after the first 20 lines: the dense denoiser (d+1
-    propagations each, flip_only_coord included), propagate_mass at d=8, and
-    the continuous, discretized and per-coordinate samplers at d=8, where a
-    rate row has 8 entries. A fresh model predicts exactly 0.5, so its
+    propagations each, flip_only_coord included) and score at 64 per-row
+    times, propagate_mass at d=8, and the continuous, discretized and
+    per-coordinate samplers at d=8, where a rate row has 8 entries. A fresh model predicts exactly 0.5, so its
     weights are perturbed to give distinct rates per coordinate."""
     rng = np.random.default_rng(30)
     ts = rng.uniform(0.0, T_F, size=64)
     states = rng.integers(0, 2, size=(64, 4), dtype=np.int8)
-    lines = [f"exact-dense-d4/denoiser_rows {digest(dense_src.denoiser_rows(ts, states))}"]
+    lines = [f"exact-dense-d4/denoiser_rows {digest(dense_src.denoiser_rows(ts, states))}",
+             f"exact-dense-d4/score_rows {digest(dense_src.score_rows(ts, states))}"]
 
     mass = rng.random(256) + 0.05
     mass /= mass.sum()

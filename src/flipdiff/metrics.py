@@ -8,7 +8,6 @@ it ranges over [0, 2] (twice the more common sup-of-events normalization).
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -18,7 +17,7 @@ from scipy.stats import wasserstein_distance
 from .errors import AssumptionViolationError, EnumerationLimitError, PlanningError
 from .samplers import _rate_rows, sample_discretized_batch
 from .schedules import TimeSchedule
-from .states import DenseTable, EmpiricalSet, all_states, index_to_state
+from .states import DenseTable, EmpiricalSet, all_states, flip_index, index_to_state
 
 UNIFORMIZATION_TAIL = 1e-14
 EXACT_BACKWARD_LIMIT = 10  # generator is 2^d x 2^d
@@ -220,14 +219,6 @@ def plan_early_stop(eps: float, d: int, lam: float, kl_init: float) -> tuple[flo
     return eta, h, k_f
 
 
-@functools.lru_cache(maxsize=None)
-def _flip_index(d: int) -> np.ndarray:
-    """(2^d, d) table whose entry [x, l] is the index of x with bit l flipped."""
-    idx = np.arange(1 << d)[:, None] ^ (1 << np.arange(d))
-    idx.flags.writeable = False
-    return idx
-
-
 def _uniformized_step(mass: np.ndarray, rates: np.ndarray, h: float,
                       tail: float = UNIFORMIZATION_TAIL) -> np.ndarray:
     """Propagate a mass vector through exp(h*Q) where Q has off-diagonal
@@ -243,7 +234,7 @@ def _uniformized_step(mass: np.ndarray, rates: np.ndarray, h: float,
     if rate_max <= 0 or h <= 0:
         return mass.copy()
     a = rate_max * h
-    flip_idx = _flip_index(d)
+    flip_idx = flip_index(d)
     stay = 1.0 - exit_rate / rate_max
     # rates_in[y, l] is the rate from y's coordinate-l flip into y
     rates_in = rates[flip_idx, np.arange(d)]

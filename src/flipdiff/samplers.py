@@ -3,9 +3,13 @@
 All samplers start from the uniform distribution on {0,1}^d and run backward
 time from 0 to the schedule horizon, driven by a score source:
 
-- ``sample_continuous_batch``: exponential-clock thinning with the total rate
-  integrated by micro-step quadrature (the idealized continuous-time scheme),
-- ``sample_percoord_batch``: the equivalent per-coordinate-clock formulation,
+- ``sample_continuous_batch``: exact uniformized thinning: proposals from a
+  Poisson clock of rate d*R(t), R = lam*coth(lam*u) held at its window-end
+  value on windows that halve in forward time u down to T_MIN, each accepted
+  with probability rate/R,
+- ``sample_percoord_batch``: one exponential clock per coordinate with the
+  rates integrated by trapezoid micro steps, an independent quadrature check
+  of the thinning sampler,
 - ``sample_discretized``: piecewise-constant score with a carried rate
   accumulator; at most one flip per grid interval,
 - ``sample_flip_schedule``: as above but flipping a scheduled number of
@@ -15,10 +19,9 @@ time from 0 to the schedule horizon, driven by a score source:
 
 Each sampler has a ``*_batch`` form vectorized across chains that draws all
 randomness from one generator, so output sets are deterministic given
-(seed, n); one chain is the batch form at n = 1. The continuous and
-per-coordinate samplers share one micro-step clock loop, and differ only in
-the clocks it runs (one per chain on the total rate, or one per coordinate)
-and in how a crossing picks its coordinate. The discretized and flip-schedule
+(seed, n); one chain is the batch form at n = 1. The continuous sampler
+scores proposals at per-chain times (``score_rows``); the others query one
+time per call (``score_batch``). The discretized and flip-schedule
 samplers share one clock loop on the score held per grid interval;
 ``sample_flip_schedule`` runs it with a sequential without-replacement draw,
 the reference the batch form's exponential races are tested against.
@@ -35,10 +38,12 @@ from .errors import SamplerError
 from .forward import alpha, propagate_mass
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
-from .score import _check_rates, denoiser_from_score, score_from_denoiser
-from .states import Distribution, EmpiricalSet, ProductBernoulli, as_bits, state_indices
+from .score import (RATE_TOL, T_MIN, _affine_coeffs, _check_rates, denoiser_from_score,
+                    score_from_denoiser)
+from .states import (Distribution, EmpiricalSet, ProductBernoulli, as_bits, flip_index,
+                     state_indices)
 
-MICRO_STEP_SCALE = 1e-3  # micro quadrature step as a fraction of the horizon
+MICRO_STEP_SCALE = 1e-3  # per-coordinate sampler's quadrature step, a fraction of the horizon
 _MAX_PASSES = 100_000
 
 
@@ -52,6 +57,7 @@ class ExactScoreSource:
         self.lam = lam
         self.t_f = t_f
         self.d = dist.d
+        self._shells = None
 
     def _check(self, X):
         X = np.asarray(X)
@@ -70,16 +76,63 @@ class ExactScoreSource:
         a_u = np.asarray(alpha(u, self.lam))[..., None]
         return a_u, 0.5 + (self.dist.probs - 0.5) * a_u
 
+    def _shell_table(self) -> np.ndarray:
+        """shells[h, z]: the data mass at Hamming distance h from state z.
+
+        Built on first use in d butterfly passes and kept for the source's
+        life, so it holds (d+1)*2^d doubles; a forward marginal is then one
+        weighted sum over its d+1 rows at any time."""
+        if self._shells is None:
+            d = self.d
+            shells = np.zeros((d + 1, 1 << d))
+            shells[0] = self.dist.mass
+            for bit in range(d):
+                # a source differing from z in this bit is one step further away
+                m = shells.reshape(d + 1, -1, 2, 1 << bit)
+                nxt = m.copy()
+                nxt[1:, :, 0] += m[:-1, :, 1]
+                nxt[1:, :, 1] += m[:-1, :, 0]
+                shells = nxt.reshape(d + 1, -1)
+            self._shells = shells
+        return self._shells
+
+    def _marginal_mass(self, u, where) -> np.ndarray:
+        """mu_u at the state indices ``where``: sum_h shells[h]*p^(d-h)*q^h
+        with p, q = (1 +- alpha(u))/2, the terms added in h order and the
+        powers built by repeated products, so the bits of an entry depend
+        only on its state and its time. ``u`` is a float or an array that
+        broadcasts against ``where``."""
+        shells, d = self._shell_table(), self.d
+        a_u = alpha(u, self.lam)
+        stay, move = 0.5 + 0.5 * a_u, 0.5 - 0.5 * a_u
+        stay_pow = [1.0]
+        for _ in range(d):
+            stay_pow.append(stay_pow[-1] * stay)
+        out = shells[0][where] * stay_pow[d]
+        move_pow = 1.0
+        for h in range(1, d + 1):
+            move_pow = move_pow * move
+            out += shells[h][where] * (stay_pow[d - h] * move_pow)
+        return out
+
     def _dense_score(self, u, X) -> np.ndarray:
-        """Score of a dense law at one forward time: one propagation, then a
-        gather of each row's mass and its d single-bit flips."""
-        mass = propagate_mass(self.dist.mass, u, self.lam)
+        """Score of a dense law at a scalar forward time or one per row: the
+        marginal at each row's state and its d single-bit flips. A scalar
+        time builds the marginal over all states once and looks rows up in
+        it; either way every value comes from the same ``_marginal_mass``
+        terms, so the two agree bit for bit."""
         idx = state_indices(X)
-        here = mass[idx]
+        flips = flip_index(self.d)[idx]
+        if np.ndim(u) == 0:
+            table = self._marginal_mass(float(u), slice(None))
+            here, flipped = table[idx], table[flips]
+        else:
+            mass = self._marginal_mass(u[:, None], np.concatenate([idx[:, None], flips], axis=1))
+            here, flipped = mass[:, 0], mass[:, 1:]
         if (here <= 0.0).any():
-            bad = idx[np.argmin(here)]
-            raise ValueError(f"state index {bad} has zero mass at forward time {float(u)!r}")
-        flipped = mass[idx[:, None] ^ (1 << np.arange(self.d))]
+            row = int(np.argmin(here))
+            u_bad = float(u if np.ndim(u) == 0 else u[row])
+            raise ValueError(f"state index {idx[row]} has zero mass at forward time {u_bad!r}")
         return 1.0 - flipped / here[:, None]
 
     # --- scalar time --------------------------------------------------------
@@ -110,11 +163,7 @@ class ExactScoreSource:
             _, q1 = self._product_marginal(u)
             p_here = np.where(X == 1, q1, 1.0 - q1)
             return 1.0 - (1.0 - p_here) / p_here
-        out = np.empty(X.shape, dtype=np.float64)
-        for u_val in np.unique(u):
-            rows = u == u_val
-            out[rows] = self._dense_score(u_val, X[rows])
-        return out
+        return self._dense_score(u, X)
 
     def denoiser_rows(self, ts, X) -> np.ndarray:
         X = self._check(X)
@@ -241,6 +290,10 @@ class RecordingScoreSource:
         self._log(t)
         return self.inner.score_batch(t, X)
 
+    def score_rows(self, ts, X):
+        self._log(ts)
+        return self.inner.score_rows(ts, X)
+
     def denoiser_batch(self, t, X):
         self._log(t)
         return self.inner.denoiser_batch(t, X)
@@ -294,64 +347,116 @@ def _uniform_start(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=(n, d), dtype=np.int8)
 
 
-# --- micro-step clocks --------------------------------------------------------
+# --- continuous time -----------------------------------------------------------
 
 
-def _micro_step_loop(src, n: int, rng: np.random.Generator, lam: float, clock_rates, choose):
-    """Exponential clocks on the time-varying backward rates, integrated with
-    trapezoid micro steps of ``MICRO_STEP_SCALE * t_f`` from 0 to t_f.
+def _thinning_windows(t_f: float) -> np.ndarray:
+    """Backward-time edges of the thinning windows: in forward time u they
+    run from t_f down to T_MIN, each half as wide as the one before (the
+    last cut at T_MIN), then [0, T_MIN]."""
+    u = [t_f]
+    while u[-1] / 2.0 > T_MIN:
+        u.append(u[-1] / 2.0)
+    if t_f > T_MIN:
+        u.append(T_MIN)
+    u.append(0.0)
+    return t_f - np.asarray(u)
 
-    ``clock_rates(rates)`` maps (m, d) rates to the (m, k) rates of each
-    chain's k clocks. A crossing time is linearly interpolated inside its
-    micro step; on a crossing, ``choose(t_cross, frac, lo, hi, rng)`` names
-    the coordinate to flip and the jump time from the (m, k) crossing times
-    (inf where a clock did not cross), their fractions of the step and the
-    rates at its two ends, and all k clocks of the chain restart. Returns the
-    final states and the jumps per chain.
+
+def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | None = None,
+                            return_jump_counts: bool = False):
+    """Exact continuous-time sampling across n chains by uniformized thinning.
+
+    Every backward rate lam*(1 - s) is at most R(t) = lam*(1 - a_coef + b_coef)
+    = lam*coth(lam*u), since s = a_coef - b_coef*d with d in [0, 1]. On each
+    window of ``_thinning_windows`` R is held at its window-end value, where
+    it is largest. Each round, every unfinished chain draws an Exp(d*R) step:
+    past its window's end it moves on to the next window; otherwise it
+    proposes a uniform coordinate, scored through one ``score_rows`` call at
+    the chains' own times, and flips it with probability rate/R. A ratio
+    above 1 + RATE_TOL raises SamplerError. Returns the final states and,
+    with ``return_jump_counts``, the flips per chain.
     """
-    t_end = src.t_f
-    h = MICRO_STEP_SCALE * t_end
-    X = _uniform_start(n, src.d, rng)
+    lam = src.lam if lam is None else lam
+    d = src.d
+    edges = _thinning_windows(src.t_f)
+    a_coef, b_coef = _affine_coeffs(edges[1:], src.lam, src.t_f)
+    bound = lam * (1.0 - a_coef + b_coef)
+    X = _uniform_start(n, d, rng)
     jumps = np.zeros(n, dtype=np.int64)
-    seg_hi = _rate_rows(src, 0.0, X, lam)
-    clk_hi = clock_rates(seg_hi)
-    k = clk_hi.shape[1]
-    acc = np.zeros((n, k))
-    thresh = rng.exponential(size=(n, k))
+    t = np.zeros(n)
+    window = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    while live.size:
+        r = bound[window[live]]
+        t_next = t[live] + rng.exponential(size=live.size) / (d * r)
+        passed = t_next >= edges[window[live] + 1]
+        moved = live[passed]
+        t[moved] = edges[window[moved] + 1]
+        window[moved] += 1
+        prop, r = live[~passed], r[~passed]
+        if prop.size:
+            t[prop] = t_next[~passed]
+            coords = rng.integers(0, d, size=prop.size)
+            rates = _check_rates(lam * (1.0 - src.score_rows(t[prop], X[prop])), lam)
+            ratio = rates[np.arange(prop.size), coords] / r
+            if (ratio > 1.0 + RATE_TOL).any():
+                worst = int(np.argmax(ratio))
+                raise SamplerError(f"backward rate {ratio[worst] * r[worst]!r} exceeds the "
+                                   f"thinning bound {r[worst]!r} at t={t[prop[worst]]!r}")
+            flip = rng.random(prop.size) < ratio
+            X[prop[flip], coords[flip]] ^= 1
+            jumps[prop[flip]] += 1
+        live = live[window[live] < edges.size - 1]
+    return (X, jumps) if return_jump_counts else X
+
+
+def sample_percoord_batch(src, n: int, rng: np.random.Generator,
+                          lam: float | None = None) -> np.ndarray:
+    """Per-coordinate clocks across n chains, one exponential clock on each
+    coordinate's own rate, integrated with trapezoid micro steps of
+    ``MICRO_STEP_SCALE * t_f``; the earliest crossing in a step flips its
+    coordinate, at a crossing time linearly interpolated inside the step, and
+    restarts all d clocks of its chain. A quadrature scheme independent of
+    the continuous sampler's thinning, which it cross-checks.
+    """
+    lam = src.lam if lam is None else lam
+    d, t_end = src.d, src.t_f
+    h = MICRO_STEP_SCALE * t_end
+    X = _uniform_start(n, d, rng)
+    hi = _rate_rows(src, 0.0, X, lam)
+    acc = np.zeros((n, d))
+    thresh = rng.exponential(size=(n, d))
     t = 0.0
     while t < t_end * (1.0 - 1e-15):
         b = min(t + h, t_end)
-        # the crossing passes leave seg_hi (and its clock rates clk_hi) equal
-        # to the rates at (b, X), so the last step's end is this step's start
-        seg_lo, seg_hi = seg_hi, _rate_rows(src, b, X, lam)
-        clk_lo, clk_hi = clk_hi, clock_rates(seg_hi)
+        # the crossing passes leave hi equal to the rates at (b, X), so the
+        # last step's end is this step's start
+        lo, hi = hi, _rate_rows(src, b, X, lam)
         seg_start = np.full(n, t)
-        inc = 0.5 * (clk_lo + clk_hi) * (b - t)
+        inc = 0.5 * (lo + hi) * (b - t)
         crossing = (acc + inc >= thresh) & (inc > 0)
-        idx = np.flatnonzero(crossing) if k == 1 else np.unique(np.flatnonzero(crossing) // k)
+        idx = np.unique(np.flatnonzero(crossing) // d)
         live = crossing[idx]
         for _ in range(_MAX_PASSES):
             if idx.size == 0:
                 break
             frac = np.divide(thresh[idx] - acc[idx], inc[idx], where=live,
-                             out=np.full((idx.size, k), np.inf))
+                             out=np.full((idx.size, d), np.inf))
             start = seg_start[idx][:, None]
             t_cross = start + frac * (b - start)
-            coords, t_star = choose(t_cross, frac, seg_lo[idx], seg_hi[idx], rng)
+            coords = np.argmin(t_cross, axis=1)
+            t_star = t_cross[np.arange(coords.size), coords]
             X[idx, coords] ^= 1
-            jumps[idx] += 1
             acc[idx] = 0.0
-            thresh_new = rng.exponential(size=(idx.size, k))
+            thresh_new = rng.exponential(size=(idx.size, d))
             thresh[idx] = thresh_new
             # remainder of the micro step with the flipped state; the rate is
             # held at its end-of-step value (O(h) bias, h is tiny)
             r_new = _rate_rows(src, b, X[idx], lam)
-            clk_new = clock_rates(r_new)
-            seg_lo[idx] = r_new
-            seg_hi[idx] = r_new
-            clk_hi[idx] = clk_new
+            hi[idx] = r_new
             seg_start[idx] = t_star
-            inc_new = clk_new * (b - t_star)[:, None]
+            inc_new = r_new * (b - t_star)[:, None]
             inc[idx] = inc_new
             # only the rows that just jumped changed, so only they can cross
             # again, and their accumulators are zero
@@ -362,32 +467,7 @@ def _micro_step_loop(src, n: int, rng: np.random.Generator, lam: float, clock_ra
             raise SamplerError(f"crossing resolution did not settle at t={t!r}")
         acc += inc
         t = b
-    return X, jumps
-
-
-def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | None = None,
-                            return_jump_counts: bool = False):
-    """Continuous-time thinning across n chains: one clock per chain on its
-    total rate; a crossing flips a coordinate drawn from the rates
-    interpolated to the crossing time."""
-    def interpolated(t_cross, frac, lo, hi, rng):
-        return _categorical_rows((1.0 - frac) * lo + frac * hi, rng), t_cross[:, 0]
-
-    X, jumps = _micro_step_loop(src, n, rng, src.lam if lam is None else lam,
-                                lambda r: _row_totals(r)[:, None], interpolated)
-    return (X, jumps) if return_jump_counts else X
-
-
-def sample_percoord_batch(src, n: int, rng: np.random.Generator,
-                          lam: float | None = None) -> np.ndarray:
-    """Per-coordinate clocks across n chains: one clock per coordinate on its
-    own rate; the earliest crossing flips its coordinate."""
-    def earliest(t_cross, frac, lo, hi, rng):
-        coords = np.argmin(t_cross, axis=1)
-        return coords, t_cross[np.arange(coords.size), coords]
-
-    return _micro_step_loop(src, n, rng, src.lam if lam is None else lam,
-                            lambda r: r, earliest)[0]
+    return X
 
 
 # --- discretized samplers ---------------------------------------------------

@@ -7,6 +7,7 @@ every dense 2^d table in the package uses this order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,15 @@ def state_indices(states: np.ndarray) -> np.ndarray:
     """Vectorized ``state_index`` for an (n, d) array of states."""
     states = np.asarray(states, dtype=np.int64)
     return states @ (1 << np.arange(states.shape[1], dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def flip_index(d: int) -> np.ndarray:
+    """(2^d, d) table whose entry [x, l] is the index of x with bit l flipped;
+    cached per d and read-only."""
+    idx = np.arange(1 << d)[:, None] ^ (1 << np.arange(d))
+    idx.flags.writeable = False
+    return idx
 
 
 def index_to_state(index: int, d: int) -> np.ndarray:

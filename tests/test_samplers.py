@@ -69,6 +69,34 @@ def test_exact_source_matches_oracle_functions():
                 assert np.allclose(got, denoiser, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_dense_score_matches_kernel_sums_at_per_row_times(d):
+    """The dense score at one time per row, against the marginal summed over
+    all clean states with the forward kernel, at forward times near 0, at
+    T_MIN and across the horizon."""
+    t_f = 3.0
+    rng = np.random.default_rng(40 + d)
+    dist = fd.DenseTable.normalized(rng.uniform(0.05, 1.0, 1 << d))
+    states = fd.all_states(d)
+    X = states[rng.integers(0, 1 << d, 12)]
+    ts = rng.uniform(0.0, t_f, len(X))
+    ts[:3] = [t_f - 1e-12, t_f - fd.T_MIN, 0.0]
+    got = exact_src(dist, t_f).score_rows(ts, X)
+    for x, t, row in zip(X, ts, got):
+        def marginal(y):
+            return sum(m * fd.kernel(z, y, t_f - t, LAM) for m, z in zip(dist.mass, states))
+        ref = [1.0 - marginal(fd.flip(x, ell)) / marginal(x) for ell in range(d)]
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+
+
+def test_dense_score_rows_zero_mass_state_errors():
+    src = exact_src(fd.delta_table([0, 1, 1]))
+    X = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.int8)
+    assert np.isfinite(src.score_rows(np.array([3.0, 1.0]), X)).all()
+    with pytest.raises(ValueError):
+        src.score_rows(np.array([1.0, 3.0]), X)  # forward time 0 at a zero-mass state
+
+
 def test_learned_source_scores_satisfy_rate_positivity():
     cfg = fd.ModelConfig(d=3, blocks=1, width=16, time_embed_dim=8, seed=2)
     rng = np.random.default_rng(3)
@@ -131,15 +159,11 @@ class CountingScoreSource:
         return self.inner.score_batch(t, X)
 
 
-@pytest.mark.parametrize("kind", ["continuous", "percoord"])
+@pytest.mark.parametrize("kind", ["percoord"])
 def test_micro_step_end_rates_are_reused(kind):
     n, t_f = 400, 3.0
     src = CountingScoreSource(exact_src(fd.sawtooth_params(3), t_f))
-    rng = np.random.default_rng(32)
-    if kind == "continuous":
-        _, jumps = fd.sample_continuous_batch(src, n, rng, return_jump_counts=True)
-    else:
-        fd.sample_percoord_batch(src, n, rng)
+    fd.sample_percoord_batch(src, n, np.random.default_rng(32))
     h = fd.samplers.MICRO_STEP_SCALE * t_f
     ends, t = [], 0.0
     while t < t_f * (1.0 - 1e-15):
@@ -147,15 +171,49 @@ def test_micro_step_end_rates_are_reused(kind):
         ends.append(t)
     full = [t for t, rows in src.calls if rows == n]
     assert full == [0.0] + ends  # one call at t = 0, one per micro step, no time twice
-    crossing_rows, last_full = 0, None
+    last_full = None
     for t, rows in src.calls:
         if rows == n:
             last_full = t
         else:
             assert t == last_full and 0 < rows < n  # only chains that crossed in this step
-            crossing_rows += rows
-    if kind == "continuous":
-        assert crossing_rows == jumps.sum()
+
+
+class RowsOnlyScoreSource:
+    """Wrapper that records the times and row count of every score_rows call
+    and refuses scalar-time queries."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d, self.lam, self.t_f = inner.d, inner.lam, inner.t_f
+        self.times: list[np.ndarray] = []
+
+    def score_rows(self, ts, X):
+        self.times.append(np.array(ts, dtype=np.float64))
+        return self.inner.score_rows(ts, X)
+
+    def score_batch(self, t, X):
+        raise AssertionError("the thinning sampler queried a scalar time")
+
+
+def test_continuous_thinning_proposal_count():
+    """Proposals are scored at per-chain times inside (0, t_f), one row each,
+    and their number per chain is Poisson with mean the integral of d*R over
+    the windows, R = lam*coth(lam*u) at each window's smallest forward time
+    u, floored at T_MIN."""
+    n, t_f, d = 400, 3.0, 3
+    src = RowsOnlyScoreSource(exact_src(fd.sawtooth_params(d), t_f))
+    fd.sample_continuous_batch(src, n, np.random.default_rng(32))
+    times = np.concatenate(src.times)
+    assert ((times > 0.0) & (times < t_f)).all()
+    u_edges = [t_f]
+    while u_edges[-1] / 2 > fd.T_MIN:
+        u_edges.append(u_edges[-1] / 2)
+    u_edges += [fd.T_MIN, 0.0]
+    expected = sum(d * LAM / np.tanh(LAM * max(lo, fd.T_MIN)) * (hi - lo)
+                   for hi, lo in zip(u_edges, u_edges[1:]))
+    mean = times.size / n
+    assert abs(mean - expected) < 3 * np.sqrt(expected / n)
 
 
 def equivalence_laws():
@@ -286,6 +344,12 @@ def test_recording_source_sees_only_grid_times():
         assert set(rec.times) <= set(sch.grid[:-1].tolist())
 
 
+def test_recording_source_sees_continuous_proposal_times():
+    rec = fd.RecordingScoreSource(exact_src(fd.sawtooth_params(3)))
+    fd.generate("continuous", rec, 64, np.random.default_rng(4))
+    assert rec.times and all(0.0 < t < 3.0 for t in rec.times)
+
+
 # --- uniform fixed point ------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["continuous", "percoord", "discrete", "flip", "denoise"])
@@ -322,6 +386,19 @@ def test_continuous_matches_batch_law():
     states = fd.sample_continuous_batch(exact_src(dist), 3000, np.random.default_rng(11))
     counts = np.bincount(fd.state_indices(states), minlength=4)
     assert chi2_pvalue(counts, dist.to_table().mass) > ALPHA_3SIGMA
+
+
+def test_continuous_matches_dense_law():
+    dist = fd.DenseTable.normalized(np.random.default_rng(36).uniform(0.05, 1.0, 8))
+    states = fd.sample_continuous_batch(exact_src(dist), 3000, np.random.default_rng(37))
+    counts = np.bincount(fd.state_indices(states), minlength=8)
+    assert chi2_pvalue(counts, dist.mass) > ALPHA_3SIGMA
+
+
+def test_continuous_rejects_rates_above_thinning_bound():
+    src = fd.ShiftedScoreSource(exact_src(fd.sawtooth_params(3)), rate_bump=0.5)
+    with pytest.raises(fd.SamplerError):
+        fd.sample_continuous_batch(src, 200, np.random.default_rng(38))
 
 
 def test_percoord_matches_law():
