@@ -1,8 +1,8 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
-marginal, the validate-bounds report, the sliced Wasserstein metric, the
-exact dense denoiser and score, ``propagate_mass`` at d=8, three samplers
-on a d=8 learned source, two training runs, and single-chain discretized
-draws.
+marginal, the validate-bounds report, the sliced Wasserstein metric, a
+sample dump's bytes and read-back, the exact dense denoiser and score,
+``propagate_mass`` at d=8, three samplers on a d=8 learned source, two
+training runs, and single-chain discretized draws.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
 change meant to be exact can be checked with one diff:
@@ -103,6 +103,13 @@ def main() -> int:
     for name, other in (("equal-n", b), ("unequal-n", c)):
         est = fd.swd(a, other, n_dirs=1000, rng=np.random.default_rng(6))
         lines.append(f"swd/{name} {hashlib.sha256(est.to_json().encode()).hexdigest()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.txt"
+        dump = data_rng.integers(0, 2, size=(2000, 8), dtype=np.int8)
+        fd.write_samples(path, dump, {})
+        same = bool((fd.read_samples(path).samples == dump).all())
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"samples-io/read-back={same} {sha}")
     lines += d8_lines(srcs["exact-dense-d4"])
     lines += training_lines()
     lines.append(single_chain_line(srcs))

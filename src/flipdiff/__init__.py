@@ -18,6 +18,7 @@ from .errors import (
     InvalidScoreError,
     ModelCorruptError,
     PlanningError,
+    SampleFormatError,
     SamplerError,
     TrainingError,
 )
@@ -29,6 +30,7 @@ from .states import (
     all_states,
     as_bits,
     delta_table,
+    distinct_rows,
     flip,
     index_to_state,
     prob,

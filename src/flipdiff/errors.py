@@ -45,5 +45,9 @@ class SamplerError(FlipdiffError, RuntimeError):
     """Backward simulation failed (non-finite rate, bad schedule state)."""
 
 
+class SampleFormatError(FlipdiffError, ValueError):
+    """Sample dump is malformed (empty, ragged, or a character other than 0/1)."""
+
+
 class ConfigError(FlipdiffError, ValueError):
     """Run configuration file is invalid (unknown keys, bad values)."""

@@ -34,14 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SamplerError
+from .errors import SampleFormatError, SamplerError
 from .forward import alpha, propagate_mass
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
 from .score import (RATE_TOL, T_MIN, _affine_coeffs, _check_rates, denoiser_from_score,
                     score_from_denoiser)
-from .states import (Distribution, EmpiricalSet, ProductBernoulli, as_bits, flip_index,
-                     state_indices)
+from .states import (Distribution, EmpiricalSet, ProductBernoulli, as_bits, distinct_rows,
+                     flip_index, state_indices)
 
 MICRO_STEP_SCALE = 1e-3  # per-coordinate sampler's quadrature step, a fraction of the horizon
 _MAX_PASSES = 100_000
@@ -238,11 +238,10 @@ class LearnedScoreSource:
         """Denoiser at one time for every row of ``X``. Rows are keyed by their
         bytes, each distinct row is evaluated once, and the results are
         scattered back in the caller's row order."""
-        X = np.ascontiguousarray(X)
+        X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"states must have shape (n, {self.d})")
-        keys = X.view(np.dtype((np.void, X.itemsize * self.d))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first, inverse, _ = distinct_rows(X)
         return predict_batch(self.params, self.config, t, X[first])[inverse]
 
     def score_batch(self, t: float, X) -> np.ndarray:
@@ -600,27 +599,39 @@ def generate(kind: str, src, n: int, rng: np.random.Generator,
 
 
 def write_samples(path, states: np.ndarray, sidecar: dict) -> None:
-    """Dump states as 0/1 lines plus a JSON sidecar next to the file."""
+    """Dump states as 0/1 lines plus a JSON sidecar next to the file; a
+    nonzero entry is written as 1."""
     path = Path(path)
     states = np.asarray(states, dtype=np.int8)
-    with open(path, "w") as fh:
-        for row in states:
-            fh.write("".join("1" if b else "0" for b in row) + "\n")
+    buf = np.full((states.shape[0], states.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    buf[:, :-1] = (states != 0) + ord("0")
+    path.write_bytes(buf.tobytes())
     with open(path.with_suffix(".json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_samples(path) -> EmpiricalSet:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(c) for c in line])
+    """Load a 0/1 dump. Lines may end in LF, CRLF or CR; whitespace around a
+    line and blank lines are ignored. An empty file, rows of unequal length
+    and any other character raise ``SampleFormatError`` naming the first bad
+    line."""
+    text = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = [line.strip() for line in text.split(b"\n")]
+    rows = [line for line in lines if line]
     if not rows:
-        raise ValueError(f"sample file {path} is empty")
-    return EmpiricalSet(np.asarray(rows, dtype=np.int8))
+        raise SampleFormatError(f"sample file {path} is empty")
+    d = len(rows[0])
+    bits = np.frombuffer(b"".join(rows), dtype=np.uint8) - ord("0")
+    if set(map(len, rows)) != {d} or (bits > 1).any():
+        for lineno, line in enumerate(lines, 1):
+            if line and len(line) != d:
+                raise SampleFormatError(f"sample file {path}, line {lineno}: {len(line)} "
+                                        f"entries, the first row has {d}")
+            if line.strip(b"01"):
+                raise SampleFormatError(f"sample file {path}, line {lineno}: a character "
+                                        f"other than 0/1 in {line[:80]!r}")
+    return EmpiricalSet(bits.reshape(len(rows), d))
 
 
 def read_sidecar(path) -> dict:

@@ -60,6 +60,20 @@ def flip_index(d: int) -> np.ndarray:
     return idx
 
 
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d array, keyed by their bytes and ordered by key.
+
+    Returns ``first`` (the index of each distinct row's first occurrence),
+    ``inverse`` (``X[first][inverse]`` rebuilds ``X``) and ``counts`` (each
+    distinct row's multiplicity).
+    """
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return first, inverse, counts
+
+
 def index_to_state(index: int, d: int) -> np.ndarray:
     if not 0 <= index < (1 << d):
         raise ValueError(f"index {index} out of range for d={d}")

@@ -67,8 +67,9 @@ def test_swd_symmetry_and_unequal_sizes():
     assert ab == pytest.approx(ba, abs=1e-12)
 
 
-def full_matrix_swd(a, b, n_dirs, rng):
-    """Reference SWD that projects on every direction at once."""
+def sort_formula_swd(a, b, n_dirs, rng):
+    """Reference SWD from every projected sample: the mean absolute difference
+    of the sorted projections for equal n, scipy's W1 otherwise."""
     dirs = fd.metrics.simplex_directions(a.d, n_dirs, rng)
     proj_a = a.samples.astype(np.float64) @ dirs.T
     proj_b = b.samples.astype(np.float64) @ dirs.T
@@ -81,14 +82,72 @@ def full_matrix_swd(a, b, n_dirs, rng):
                           std_error=float(per_dir.std(ddof=1) / np.sqrt(n_dirs)))
 
 
+def full_matrix_swd(a, b, n_dirs, rng):
+    """Reference SWD that projects the distinct states on every direction at
+    once and integrates |F_a - F_b| from their counts."""
+    dirs = fd.metrics.simplex_directions(a.d, n_dirs, rng)
+    both = np.concatenate([a.samples, b.samples])
+    first, inverse, _ = fd.distinct_rows(both)
+    weights = (np.bincount(inverse[:a.n], minlength=first.size) * b.n
+               - np.bincount(inverse[a.n:], minlength=first.size) * a.n)
+    proj = dirs @ both[first].astype(np.float64).T
+    order = np.argsort(proj, axis=1)
+    gap = np.abs(np.cumsum(weights[order[:, :-1]], axis=1))
+    per_dir = np.sum(np.diff(np.take_along_axis(proj, order, axis=1), axis=1) * gap,
+                     axis=1) / (a.n * b.n)
+    return fd.SWDEstimate(value=float(per_dir.mean()), n_directions=n_dirs,
+                          std_error=float(per_dir.std(ddof=1) / np.sqrt(n_dirs)))
+
+
 @pytest.mark.parametrize("n_b", [1500, 1100])
-def test_swd_chunked_matches_full_matrix(n_b):
+def test_swd_chunked_matches_full_matrix(n_b, monkeypatch):
     rng = np.random.default_rng(8)
     a = fd.EmpiricalSet(rng.integers(0, 2, (1500, 8), dtype=np.int8))
     b = fd.EmpiricalSet(rng.integers(0, 2, (n_b, 8), dtype=np.int8))
+    # all 256 states occur, so the directions go 64 at a time
+    monkeypatch.setattr(fd.metrics, "SWD_CHUNK_ELEMENTS", 64 * 256)
     for n_dirs in (2, 65, 130, 1000):
         est = fd.swd(a, b, n_dirs=n_dirs, rng=np.random.default_rng(9))
         assert est == full_matrix_swd(a, b, n_dirs, np.random.default_rng(9))
+
+
+def swd_cases():
+    rng = np.random.default_rng(12)
+    saw = fd.sawtooth_params(16)
+    return {
+        "equal-n": (fd.EmpiricalSet(rng.integers(0, 2, (1500, 8), dtype=np.int8)),
+                    fd.EmpiricalSet(rng.integers(0, 2, (1500, 8), dtype=np.int8))),
+        "unequal-n": (fd.EmpiricalSet(rng.integers(0, 2, (1500, 8), dtype=np.int8)),
+                      fd.EmpiricalSet(rng.integers(0, 2, (1100, 8), dtype=np.int8))),
+        "sawtooth-d16": (saw.sample(3000, rng), saw.sample(2500, rng)),
+        "distinct-d40": (fd.EmpiricalSet(rng.integers(0, 2, (300, 40), dtype=np.int8)),
+                         fd.EmpiricalSet(rng.integers(0, 2, (250, 40), dtype=np.int8))),
+    }
+
+
+@pytest.mark.parametrize("case", ["equal-n", "unequal-n", "sawtooth-d16", "distinct-d40"])
+def test_swd_matches_sort_formula(case):
+    a, b = swd_cases()[case]
+    est = fd.swd(a, b, n_dirs=300, rng=np.random.default_rng(13))
+    ref = sort_formula_swd(a, b, 300, np.random.default_rng(13))
+    assert est.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+    assert est.std_error == pytest.approx(ref.std_error, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("case", ["equal-n", "unequal-n", "sawtooth-d16", "distinct-d40"])
+def test_swd_is_symmetric_and_row_order_free(case):
+    a, b = swd_cases()[case]
+    est = fd.swd(a, b, n_dirs=200, rng=np.random.default_rng(14))
+    assert fd.swd(b, a, n_dirs=200, rng=np.random.default_rng(14)) == est
+    shuffled = fd.EmpiricalSet(a.samples[np.random.default_rng(15).permutation(a.n)])
+    assert fd.swd(shuffled, b, n_dirs=200, rng=np.random.default_rng(14)) == est
+
+
+@pytest.mark.parametrize("n_dirs", [0, -3])
+def test_swd_rejects_nonpositive_direction_count(n_dirs):
+    a = fd.EmpiricalSet(np.zeros((10, 3), dtype=np.int8))
+    with pytest.raises(ValueError, match="n_dirs"):
+        fd.swd(a, a, n_dirs=n_dirs, rng=np.random.default_rng(0))
 
 
 def test_swd_peak_memory_is_bounded():

@@ -593,3 +593,46 @@ def test_empty_dump_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         fd.read_samples(path)
+
+
+def per_row_write(path, states):
+    """The row-by-row writer ``write_samples`` replaced, kept as its reference."""
+    with open(path, "w") as fh:
+        for row in np.asarray(states, dtype=np.int8):
+            fh.write("".join("1" if b else "0" for b in row) + "\n")
+
+
+@pytest.mark.parametrize("d", [1, 8, 24])
+def test_write_samples_matches_per_row_writer(tmp_path, d):
+    rng = np.random.default_rng(40 + d)
+    states = rng.integers(0, 2, (300, d), dtype=np.int8)
+    states[::7] *= 3  # nonzero entries other than 1 are written as 1
+    states[::11] *= -1
+    fd.write_samples(tmp_path / "new.txt", states, {})
+    per_row_write(tmp_path / "old.txt", states)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+    assert (fd.read_samples(tmp_path / "new.txt").samples == (states != 0)).all()
+
+
+@pytest.mark.parametrize("text", ["0110\r\n1011\r\n", "\n0110\n\n  1011  \n\n",
+                                  "0110\r1011", "\t0110\n1011\n\n"])
+def test_read_samples_accepts_crlf_blank_lines_and_padding(tmp_path, text):
+    path = tmp_path / "samples.txt"
+    path.write_bytes(text.encode())
+    assert fd.read_samples(path).samples.tolist() == [[0, 1, 1, 0], [1, 0, 1, 1]]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("0110\n101\n", 2),          # ragged row
+    ("0110\n\n1021\n", 3),       # a character other than 0/1
+    ("0110\n10 11\n", 2),        # inner whitespace
+    ("01 0\n1011\n", 1),         # inner whitespace at the row length
+    ("\n  \r\n\n", None),        # nothing but blank lines
+])
+def test_read_samples_rejects_malformed_files(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(fd.SampleFormatError) as err:
+        fd.read_samples(path)
+    assert str(path) in str(err.value)
+    assert (f"line {line}:" in str(err.value)) if line else "empty" in str(err.value)

@@ -151,3 +151,18 @@ def test_empirical_set_validation():
         fd.EmpiricalSet(np.array([[0, 2]]))
     counts = fd.EmpiricalSet(np.array([[0, 1], [0, 1], [1, 1]])).counts_table()
     assert counts.mass[fd.state_index([0, 1])] == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_distinct_rows(dtype):
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 2, (500, 5)).astype(dtype)
+    first, inverse, counts = fd.distinct_rows(X)
+    assert (X[first][inverse] == X).all()
+    assert counts.sum() == 500 and (counts == np.bincount(inverse)).all()
+    assert len({row.tobytes() for row in X}) == first.size
+    # first occurrences, in an order that does not depend on the row order
+    assert all((X[:i] != X[i]).any(axis=1).all() for i in first)
+    perm = rng.permutation(500)
+    first_p, _, counts_p = fd.distinct_rows(X[perm])
+    assert (X[perm][first_p] == X[first]).all() and (counts_p == counts).all()
