@@ -171,14 +171,14 @@ def training_lines() -> list[str]:
 
 
 def single_chain_line(srcs) -> str:
-    """200 single-chain ``sample_discretized`` draws per source, all from one
+    """200 one-chain ``sample_discretized_batch`` draws per source, all from one
     generator, and four numbers drawn after them, so the line also shows
     whether the draws left the random stream where they found it. Every
     source has d < 8, where the batch form's row totals equal ``.sum()``."""
     rng = np.random.default_rng(32)
     schedule = fd.time_grid("cosine", 40, T_F)
-    draws = [np.stack([fd.sample_discretized(src, schedule, LAM, rng) for _ in range(200)])
-             for src in srcs.values()]
+    draws = [np.stack([fd.sample_discretized_batch(src, schedule, LAM, 1, rng)[0]
+                       for _ in range(200)]) for src in srcs.values()]
     return f"single-chain/discrete {digest(*draws, rng.random(4))}"
 
 

@@ -33,8 +33,6 @@ from .states import (
     distinct_rows,
     flip,
     index_to_state,
-    prob,
-    sample,
     sawtooth_params,
     state_index,
     state_indices,
@@ -49,14 +47,12 @@ from .forward import (
     marginal,
     marginal_table,
     propagate_mass,
-    sample_conditional,
     sample_conditional_batch,
     simulate_path,
     simulate_paths_terminal,
 )
 from .score import (
     T_MIN,
-    backward_rates,
     clamp_forward_time,
     denoiser_from_score,
     score_from_denoiser,
@@ -73,7 +69,6 @@ from .model import (
     loss_and_grad,
     optimizer_step,
     param_count,
-    predict,
     predict_batch,
     save_checkpoint,
 )
@@ -92,16 +87,11 @@ from .training import TrainResult, TrainSettings, train
 from .samplers import (
     ExactScoreSource,
     LearnedScoreSource,
-    RecordingScoreSource,
     ShiftedScoreSource,
-    exact_denoiser,
-    exact_score,
     generate,
     read_samples,
     sample_continuous_batch,
-    sample_denoise_renoise,
     sample_denoise_renoise_batch,
-    sample_discretized,
     sample_discretized_batch,
     sample_flip_schedule,
     sample_flip_schedule_batch,
@@ -113,7 +103,6 @@ from .metrics import (
     BoundReport,
     SWDEstimate,
     ScoreErrorEstimate,
-    divergences,
     early_stop_tv_bound,
     estimate_score_error,
     exact_backward_marginal,

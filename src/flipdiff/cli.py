@@ -33,13 +33,14 @@ from .model import CheckpointMeta, load_checkpoint, save_checkpoint
 from .samplers import (
     ExactScoreSource,
     LearnedScoreSource,
+    SAMPLER_KINDS,
     ShiftedScoreSource,
     generate,
     read_samples,
     read_sidecar,
     write_samples,
 )
-from .schedules import flip_counts, time_grid
+from .schedules import TIME_KINDS, flip_counts, time_grid
 from .states import (
     ENUM_LIMIT,
     DenseTable,
@@ -154,14 +155,13 @@ def _score_source(config: RunConfig, exact_oracle: bool, checkpoint: str | None,
 
 
 def cmd_sample(config: RunConfig, out: str | None, exact_oracle: bool,
-               checkpoint: str | None, n: int | None) -> int:
+               checkpoint: str | None) -> int:
     out_dir = _out_dir(config, out)
     src = _score_source(config, exact_oracle, checkpoint, out_dir)
     schedule = time_grid(config.schedule.kind, config.schedule.steps, config.t_f)
     flips = flip_counts(config.flips.kind, schedule, config.flip_total)
-    n = n or config.n_samples
     rng = substream(config.seed, "sample")
-    states = generate(config.sampler, src, n, rng, schedule=schedule,
+    states = generate(config.sampler, src, config.n_samples, rng, schedule=schedule,
                       flips=flips, lam=config.lam)
     sidecar = {
         "sampler": config.sampler,
@@ -172,7 +172,7 @@ def cmd_sample(config: RunConfig, out: str | None, exact_oracle: bool,
         "lam": config.lam,
         "t_f": config.t_f,
         "d": config.d,
-        "n": n,
+        "n": config.n_samples,
         "seed": config.seed,
         "source": "exact-oracle" if exact_oracle else "checkpoint",
         "config_hash": config.config_hash(),
@@ -180,8 +180,28 @@ def cmd_sample(config: RunConfig, out: str | None, exact_oracle: bool,
     }
     target = out_dir / "samples.txt"
     write_samples(target, states, sidecar)
-    print(f"wrote {target} ({n} samples, sampler={config.sampler})")
+    print(f"wrote {target} ({config.n_samples} samples, sampler={config.sampler})")
     return 0
+
+
+def _read_dataset(path) -> tuple[Distribution, dict]:
+    """The reference law in a gen-data ``dataset.json`` and the file's fields;
+    a malformed file raises ConfigError naming the field."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ConfigError(f"dataset file {path}: expected a JSON object")
+    kind, d = payload.get("kind"), payload.get("d")
+    if kind not in ("product", "table"):
+        raise ConfigError(f"dataset file {path}: field 'kind' is {kind!r}, not product or table")
+    if type(d) is not int or d < 1:
+        raise ConfigError(f"dataset file {path}: field 'd' is {d!r}, not a positive integer")
+    field, size = ("probs", d) if kind == "product" else ("mass", 1 << d)
+    values = payload.get(field)
+    if not isinstance(values, list) or len(values) != size \
+            or not all(isinstance(v, (int, float)) for v in values):
+        raise ConfigError(f"dataset file {path}: field {field!r} must list {size} numbers")
+    values = np.asarray(values, dtype=np.float64)
+    return (ProductBernoulli(values) if kind == "product" else DenseTable(values)), payload
 
 
 def cmd_eval(config: RunConfig, samples_path: str, dataset_path: str,
@@ -189,20 +209,16 @@ def cmd_eval(config: RunConfig, samples_path: str, dataset_path: str,
     out_dir = _out_dir(config, out)
     samples = read_samples(samples_path)
     sidecar = read_sidecar(samples_path)
-    dataset_payload = json.loads(Path(dataset_path).read_text())
+    reference, dataset_payload = _read_dataset(dataset_path)
     if sidecar.get("dataset_hash") != dataset_payload.get("dataset_hash"):
         if not allow_mismatch:
             raise ConfigError(
                 "sample dump and dataset come from different configs "
                 "(pass --allow-mismatch to override)")
         print("warning: comparing artifacts from different configs", file=sys.stderr)
-    if dataset_payload["d"] != samples.d:
+    if reference.d != samples.d:
         raise ConfigError(f"dimension mismatch: samples d={samples.d}, "
-                          f"dataset d={dataset_payload['d']}")
-    if dataset_payload["kind"] == "product":
-        reference: Distribution = ProductBernoulli(np.asarray(dataset_payload["probs"]))
-    else:
-        reference = DenseTable(np.asarray(dataset_payload["mass"]))
+                          f"dataset d={reference.d}")
     rng = substream(config.seed, "eval-reference")
     ref_draw = reference.sample(samples.n, rng)
     rng_dirs = substream(config.seed, "swd-directions")
@@ -249,16 +265,14 @@ def cmd_validate_bounds(config: RunConfig, out: str | None, corrupt: float) -> i
         mu_star = _random_full_support(d, rng)
         kl_init = kl_divergence(mu_star, uniform_cache[d])
         beta = flip_fisher_info(mu_star)
-        src = ExactScoreSource(mu_star, config.lam, spec.t_f)
-        if corrupt:
-            src = ShiftedScoreSource(src, rate_bump=corrupt)
+        exact = ExactScoreSource(mu_star, config.lam, spec.t_f)
+        src = ShiftedScoreSource(exact, corrupt) if corrupt else exact
         for k in spec.k_values:
             schedule = time_grid("linear", k, spec.t_f)
             terminal = exact_backward_marginal(src, schedule, config.lam)
             measured = kl_divergence(mu_star, terminal)
             eps = 0.0
             if corrupt:
-                exact = ExactScoreSource(mu_star, config.lam, spec.t_f)
                 est = estimate_score_error(src, exact, schedule, config.lam,
                                            n_chains=2000, rng=substream(config.seed, f"eps-{instance}-{k}"))
                 eps = est.eps_max
@@ -327,10 +341,9 @@ def _parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--exact-oracle", action="store_true",
                           help="use the exact data score instead of a checkpoint")
     p_sample.add_argument("--checkpoint", help="checkpoint path (default: <out>/checkpoint.bin)")
-    p_sample.add_argument("--sampler", choices=("continuous", "percoord", "discrete",
-                                                "flip", "denoise"))
+    p_sample.add_argument("--sampler", choices=SAMPLER_KINDS)
     p_sample.add_argument("--steps", type=int, help="reverse steps K")
-    p_sample.add_argument("--schedule", choices=("linear", "quadratic", "cosine"))
+    p_sample.add_argument("--schedule", choices=TIME_KINDS)
     p_sample.add_argument("-n", "--n-samples", type=int)
     p_eval = common(sub.add_parser("eval", help="score a sample dump against a dataset"))
     p_eval.add_argument("--samples", required=True)
@@ -356,9 +369,9 @@ def _load(args) -> RunConfig:
         overrides["model"] = dataclasses.replace(config.model, seed=args.seed)
     if getattr(args, "sampler", None):
         overrides["sampler"] = args.sampler
-    if getattr(args, "n_samples", None):
+    if getattr(args, "n_samples", None) is not None:
         overrides["n_samples"] = args.n_samples
-    if getattr(args, "steps", None):
+    if getattr(args, "steps", None) is not None:
         overrides["schedule"] = dataclasses.replace(config.schedule, steps=args.steps)
     if getattr(args, "schedule", None):
         base = overrides.get("schedule", config.schedule)
@@ -377,8 +390,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(config, args.out, args.resume)
         if args.command == "sample":
-            return cmd_sample(config, args.out, args.exact_oracle,
-                              args.checkpoint, args.n_samples)
+            return cmd_sample(config, args.out, args.exact_oracle, args.checkpoint)
         if args.command == "eval":
             return cmd_eval(config, args.samples, args.dataset, args.out,
                             args.allow_mismatch)

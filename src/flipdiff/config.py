@@ -104,6 +104,8 @@ class RunConfig:
             raise ConfigError("lam and t_f must be > 0")
         if self.sampler not in SAMPLER_KINDS:
             raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}, got {self.sampler!r}")
+        if self.n_samples < 1:
+            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples!r}")
         if self.model is None:
             object.__setattr__(self, "model", ModelConfig(d=self.d, seed=self.seed))
         elif self.model.d != self.d:

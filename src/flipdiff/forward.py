@@ -130,16 +130,9 @@ def marginal_table(mu0: Distribution, t: float, lam: float) -> DenseTable:
     return out.to_table()
 
 
-def sample_conditional(x0, t: float, lam: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw X_t | X_0 = x0 by flipping each bit independently with
-    probability (1 - alpha_t)/2."""
-    bits = as_bits(x0)
-    flips = rng.random(bits.size) < 0.5 * (1.0 - alpha(t, lam))
-    return bits ^ flips.astype(np.int8)
-
-
 def sample_conditional_batch(x0s: np.ndarray, ts, lam: float, rng: np.random.Generator) -> np.ndarray:
-    """Row-wise ``sample_conditional``: row i of ``x0s`` is noised to time ts[i]."""
+    """Draw X_t | X_0 = x0 row by row: row i of ``x0s`` is noised to time ts[i]
+    by flipping each bit independently with probability (1 - alpha_t)/2."""
     x0s = np.asarray(x0s, dtype=np.int8)
     p_flip = 0.5 * (1.0 - alpha(ts, lam))
     flips = rng.random(x0s.shape) < np.atleast_1d(p_flip)[:, None]

@@ -42,10 +42,6 @@ def tv_distance(p: DenseTable, q: DenseTable) -> float:
     return float(np.abs(p.mass - q.mass).sum())
 
 
-def divergences(p: DenseTable, q: DenseTable) -> tuple[float, float]:
-    return kl_divergence(p, q), tv_distance(p, q)
-
-
 @dataclass(frozen=True)
 class SWDEstimate:
     value: float

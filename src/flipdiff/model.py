@@ -284,11 +284,6 @@ def predict_batch(params: np.ndarray, config: ModelConfig, ts, xs) -> np.ndarray
     return _forward(params, config, ts, xs, _Workspace(config, xs.shape[0], ts.shape))
 
 
-def predict(params: np.ndarray, config: ModelConfig, t: float, x) -> np.ndarray:
-    """Single-state denoiser prediction."""
-    return predict_batch(params, config, np.array([t]), np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
 def loss_and_grad(params: np.ndarray, config: ModelConfig, batch, loss_spec):
     """Combined training loss and its gradient in parameter space.
 

@@ -10,21 +10,21 @@ time from 0 to the schedule horizon, driven by a score source:
 - ``sample_percoord_batch``: one exponential clock per coordinate with the
   rates integrated by trapezoid micro steps, an independent quadrature check
   of the thinning sampler,
-- ``sample_discretized``: piecewise-constant score with a carried rate
+- ``sample_discretized_batch``: piecewise-constant score with a carried rate
   accumulator; at most one flip per grid interval,
-- ``sample_flip_schedule``: as above but flipping a scheduled number of
-  distinct coordinates per crossing, drawn without replacement,
-- ``sample_denoise_renoise``: alternating full denoise and partial renoise
-  moves using the denoiser head directly.
+- ``sample_flip_schedule_batch``: as above but flipping a scheduled number
+  of distinct coordinates per crossing, drawn without replacement,
+- ``sample_denoise_renoise_batch``: alternating full denoise and partial
+  renoise moves using the denoiser head directly.
 
-Each sampler has a ``*_batch`` form vectorized across chains that draws all
-randomness from one generator, so output sets are deterministic given
-(seed, n); one chain is the batch form at n = 1. The continuous sampler
-scores proposals at per-chain times (``score_rows``); the others query one
-time per call (``score_batch``). The discretized and flip-schedule
-samplers share one clock loop on the score held per grid interval;
-``sample_flip_schedule`` runs it with a sequential without-replacement draw,
-the reference the batch form's exponential races are tested against.
+Every sampler runs n chains at once and draws all randomness from one
+generator, so output sets are deterministic given (seed, n); one chain is
+n = 1. The continuous sampler scores proposals at per-chain times
+(``score_rows``); the others query one time per call (``score_batch``). The
+discretized and flip-schedule samplers share one clock loop on the score
+held per grid interval; the single-chain ``sample_flip_schedule`` runs it
+with a sequential without-replacement draw, the reference the batch form's
+exponential races are tested against.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
 from .score import (RATE_TOL, T_MIN, _affine_coeffs, _check_rates, denoiser_from_score,
                     score_from_denoiser)
-from .states import (Distribution, EmpiricalSet, ProductBernoulli, as_bits, distinct_rows,
-                     flip_index, state_indices)
+from .states import (Distribution, EmpiricalSet, ProductBernoulli, distinct_rows, flip_index,
+                     state_indices)
 
 MICRO_STEP_SCALE = 1e-3  # per-coordinate sampler's quadrature step, a fraction of the horizon
 _MAX_PASSES = 100_000
@@ -187,26 +187,6 @@ class ExactScoreSource:
                 out[np.flatnonzero(rows), coord] = numer[idx] / denom
         return out
 
-    def score(self, t: float, x) -> np.ndarray:
-        return self.score_batch(t, as_bits(x)[None, :])[0]
-
-    def denoiser(self, t: float, x) -> np.ndarray:
-        return self.denoiser_batch(t, as_bits(x)[None, :])[0]
-
-    def as_model(self):
-        """Denoiser-function view (ts, xs) -> predictions, for loss evaluation."""
-        return self.denoiser_rows
-
-
-def exact_score(mu0: Distribution, t: float, x, lam: float, t_f: float) -> np.ndarray:
-    """Score vector of one state at backward time t from the exact forward marginal."""
-    return ExactScoreSource(mu0, lam, t_f).score(t, x)
-
-
-def exact_denoiser(mu0: Distribution, t: float, x, lam: float, t_f: float) -> np.ndarray:
-    """Posterior flip probabilities of one state at backward time t."""
-    return ExactScoreSource(mu0, lam, t_f).denoiser(t, x)
-
 
 class LearnedScoreSource:
     """Score/denoiser backed by trained network parameters."""
@@ -271,31 +251,6 @@ class ShiftedScoreSource:
     def denoiser_rows(self, ts, X):
         ts = np.asarray(ts, dtype=np.float64)
         return denoiser_from_score(self.score_rows(ts, X), ts[:, None], self.lam, self.t_f)
-
-
-class RecordingScoreSource:
-    """Wrapper that records every time the score/denoiser is queried at."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.d, self.lam, self.t_f = inner.d, inner.lam, inner.t_f
-        self.times: list[float] = []
-
-    def _log(self, t):
-        arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        self.times.extend(float(v) for v in np.unique(arr))
-
-    def score_batch(self, t, X):
-        self._log(t)
-        return self.inner.score_batch(t, X)
-
-    def score_rows(self, ts, X):
-        self._log(ts)
-        return self.inner.score_rows(ts, X)
-
-    def denoiser_batch(self, t, X):
-        self._log(t)
-        return self.inner.denoiser_batch(t, X)
 
 
 def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
@@ -498,12 +453,6 @@ def _clock_loop(src, schedule: TimeSchedule, lam: float, n: int, rng: np.random.
     return X, recorded
 
 
-def sample_discretized(src, schedule: TimeSchedule, lam: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """One chain of ``sample_discretized_batch``, drawing the same randomness."""
-    return sample_discretized_batch(src, schedule, lam, 1, rng)[0]
-
-
 def sample_discretized_batch(src, schedule: TimeSchedule, lam: float, n: int,
                              rng: np.random.Generator,
                              record_grid: bool = False):
@@ -545,16 +494,11 @@ def sample_flip_schedule_batch(src, schedule: TimeSchedule, flips: FlipSchedule,
 # --- denoise-renoise ---------------------------------------------------------
 
 
-def sample_denoise_renoise(src, schedule: TimeSchedule, lam: float,
-                           rng: np.random.Generator) -> np.ndarray:
-    """One chain: at each grid time, flip every bit independently with its
-    denoiser probability (full denoise), then renoise with the forward kernel
-    to the next grid time; the final denoise output is returned."""
-    return sample_denoise_renoise_batch(src, schedule, lam, 1, rng)[0]
-
-
 def sample_denoise_renoise_batch(src, schedule: TimeSchedule, lam: float, n: int,
                                  rng: np.random.Generator) -> np.ndarray:
+    """n chains: at each grid time, flip every bit independently with its
+    denoiser probability (full denoise), then renoise with the forward kernel
+    to the next grid time; the final denoise output is returned."""
     d = src.d
     X = _uniform_start(n, d, rng)
     grid = schedule.grid

@@ -12,10 +12,8 @@ related coordinatewise by the affine map implemented in
 ``score_from_denoiser``; samplers need only 1 - s^l >= 0.
 
 The exact values for an enumerable data law come from one implementation,
-``samplers.ExactScoreSource``; ``exact_score`` and ``exact_denoiser`` are its
-single-state forms and live next to it. Backward rates are validated once, in
-``_check_rates``: the samplers' batched ``_rate_rows`` and the single-vector
-``backward_rates`` below both call it.
+``samplers.ExactScoreSource``. Backward rates are validated once, in
+``_check_rates``, for the rate-driven samplers and the exact backward marginal.
 """
 
 from __future__ import annotations
@@ -85,14 +83,3 @@ def denoiser_from_score(svec, t, lam: float, t_f: float):
     a_coef, b_coef = _affine_coeffs(t, lam, t_f)
     return (a_coef - np.asarray(svec, dtype=np.float64)) / b_coef
 
-
-def backward_rates(svec, lam: float) -> tuple[float, np.ndarray | None]:
-    """Total backward jump rate and coordinate flip weights for a score vector.
-
-    Weights are None when the total rate vanishes; the caller must not jump.
-    """
-    rates = _check_rates(lam * (1.0 - np.asarray(svec, dtype=np.float64)), lam)
-    total = float(rates.sum())
-    if total == 0.0:
-        return 0.0, None
-    return total, rates / total

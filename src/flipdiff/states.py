@@ -239,12 +239,3 @@ def sawtooth_params(d: int, low: float = 0.05, high: float = 0.95) -> ProductBer
         probs[peak:] = np.linspace(high, low, d - peak)
     return ProductBernoulli(probs)
 
-
-def prob(dist: Distribution, x) -> float:
-    """Probability mass of state ``x`` under ``dist``."""
-    return dist.prob(x)
-
-
-def sample(dist: Distribution, n: int, rng: np.random.Generator) -> EmpiricalSet:
-    """Draw n i.i.d. states from ``dist``."""
-    return dist.sample(n, rng)

@@ -59,9 +59,9 @@ def test_c02_score_oracle_equivalence():
         mu0 = fd.DenseTable.normalized(rng.uniform(0.05, 1.0, size=1 << d))
         t = float(rng.uniform(0.0, t_f - 0.02))
         x = rng.integers(0, 2, d)
-        ratio = fd.exact_score(mu0, t, x, LAM, t_f)
-        affine = fd.score_from_denoiser(fd.exact_denoiser(mu0, t, x, LAM, t_f),
-                                        t, LAM, t_f)
+        src = fd.ExactScoreSource(mu0, LAM, t_f)
+        ratio = src.score_batch(t, x[None])[0]
+        affine = fd.score_from_denoiser(src.denoiser_batch(t, x[None])[0], t, LAM, t_f)
         # independent conditional-expectation oracle over all clean states
         u = t_f - t
         states = fd.all_states(d)

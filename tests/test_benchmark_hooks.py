@@ -1,0 +1,31 @@
+"""The benchmark's hooks into the package: every name ``perfbench`` imports
+at load time or wraps when tracing must exist, so a cleanup that deletes one
+fails here rather than in a benchmark run."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import flipdiff as fd
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = ("tracer", "layers", "workloads")
+
+
+def test_benchmark_imports_and_wraps_package_names(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    original = fd.samplers.sample_continuous_batch
+    try:
+        workloads = importlib.import_module("workloads")
+        layers = importlib.import_module("layers")
+        tracer = importlib.import_module("tracer").Tracer()
+        try:
+            layers.install(tracer)
+            assert fd.samplers.sample_continuous_batch is not original
+        finally:
+            tracer.restore()
+        assert fd.samplers.sample_continuous_batch is original
+        assert set(workloads.WORKLOADS) == {"train_d8", "sample_d8", "exact_oracle"}
+    finally:
+        for name in MODULES:
+            sys.modules.pop(name, None)

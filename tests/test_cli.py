@@ -251,6 +251,34 @@ def test_sample_flip_sidecar_records_total(tmp_path):
     assert sidecar["flip_total"] == 9 and sidecar["flip_kind"] == "linear"
 
 
+def test_sample_n_flag_sets_row_count(tmp_path):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path)
+    assert main(["sample", "--config", str(cfg_path), "--exact-oracle", "-n", "5"]) == 0
+    out = tmp_path / "run"
+    assert fd.read_samples(out / "samples.txt").n == 5
+    assert json.loads((out / "samples.json").read_text())["n"] == 5
+
+
+@pytest.mark.parametrize("flags", [["-n", "0"], ["-n", "-3"], ["--steps", "0"]],
+                         ids=["n0", "n-3", "steps0"])
+def test_sample_rejects_counts_below_one(tmp_path, capsys, flags):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path)
+    assert main(["sample", "--config", str(cfg_path), "--exact-oracle", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "samples.txt").exists()
+
+
+def test_config_zero_samples_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, n_samples=0)
+    with pytest.raises(fd.ConfigError, match="n_samples"):
+        fd.load_config(cfg_path)
+    assert main(["sample", "--config", str(cfg_path), "--exact-oracle"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_checkpoint_horizon_mismatch(tmp_path):
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path)
@@ -295,6 +323,31 @@ def test_eval_rejects_empty_samples(tmp_path):
     code = main(["eval", "--config", str(cfg_path), "--samples", str(empty),
                  "--dataset", str(out / "dataset.json"), "--allow-mismatch"])
     assert code == 2
+
+
+@pytest.mark.parametrize("payload, field", [
+    ([0.5, 0.5], "JSON object"),
+    ({"d": 2, "probs": [0.5, 0.5]}, "'kind'"),
+    ({"kind": "histogram", "d": 2, "probs": [0.5, 0.5]}, "'kind'"),
+    ({"kind": "product", "probs": [0.5, 0.5]}, "'d'"),
+    ({"kind": "product", "d": "2", "probs": [0.5, 0.5]}, "'d'"),
+    ({"kind": "product", "d": 2, "probs": [0.5]}, "'probs'"),
+    ({"kind": "product", "d": 2, "probs": ["a", 0.5]}, "'probs'"),
+    ({"kind": "table", "d": 2, "mass": [0.5, 0.5]}, "'mass'"),
+    ({"kind": "table", "d": 2}, "'mass'"),
+], ids=["list", "no-kind", "bad-kind", "no-d", "str-d", "short-probs", "str-prob",
+        "short-mass", "no-mass"])
+def test_eval_rejects_malformed_dataset(tmp_path, capsys, payload, field):
+    samples = tmp_path / "samples.txt"
+    fd.write_samples(samples, np.zeros((3, 2), dtype=np.int8), {})
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(payload))
+    code = main(["eval", "--samples", str(samples), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "eval"), "--allow-mismatch"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(dataset) in err and field in err
+    assert "Traceback" not in err
 
 
 def test_validate_bounds_small_sweep(tmp_path):

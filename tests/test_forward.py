@@ -135,15 +135,16 @@ def test_propagate_mass_matches_tensordot_bit_for_bit():
 
 def test_sample_conditional_identity_at_zero():
     x0 = np.array([1, 0, 1, 1])
-    out = fd.sample_conditional(x0, 0.0, 1.0, np.random.default_rng(0))
-    assert (out == x0).all()
+    out = fd.sample_conditional_batch(x0[None], np.array([0.0]), 1.0, np.random.default_rng(0))
+    assert (out[0] == x0).all()
 
 
 def test_sample_conditional_flip_frequency():
     rng = np.random.default_rng(5)
     x0 = np.zeros(1, dtype=np.int8)
     flips = sum(
-        int(fd.sample_conditional(x0, LN2_HALF, 1.0, rng)[0]) for _ in range(20_000)
+        int(fd.sample_conditional_batch(x0[None], np.array([LN2_HALF]), 1.0, rng)[0, 0])
+        for _ in range(20_000)
     )
     assert_freq_within(flips / 20_000, 0.25, 20_000, what="flip frequency")
 

@@ -23,7 +23,7 @@ def indicator_model(x0):
 
 
 def exact_model(dist):
-    return fd.ExactScoreSource(dist, LAM, T_F).as_model()
+    return fd.ExactScoreSource(dist, LAM, T_F).denoiser_rows
 
 
 def neutral_model():
@@ -157,7 +157,7 @@ def test_l2_at_exact_denoiser_equals_conditional_variance():
     x0 = dist.sample(n, rng).samples
     noised = fd.sample_conditional_batch(x0, np.full(n, T_F - t), LAM, rng)
     batch = fd.TrainBatch(x0=x0, t=np.full(n, t), x_noised=noised, lam=LAM, t_f=T_F)
-    observed = fd.loss_l2(batch, src.as_model())
+    observed = fd.loss_l2(batch, src.denoiser_rows)
     # exact E[d(1-d)] under the time-t marginal, by enumeration
     states = fd.all_states(4)
     marg = fd.marginal_table(dist, T_F - t, LAM).mass

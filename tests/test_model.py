@@ -37,15 +37,6 @@ def test_outputs_in_unit_interval_and_deterministic():
     assert (out == again).all()
 
 
-def test_single_state_predict_matches_batch():
-    rng = np.random.default_rng(2)
-    params = fd.init_params(SMALL) + rng.normal(0, 0.2, fd.param_count(SMALL))
-    x = np.array([1, 0, 0, 1])
-    single = fd.predict(params, SMALL, 0.7, x)
-    batch = fd.predict_batch(params, SMALL, np.array([0.7]), x[None, :].astype(float))[0]
-    assert np.allclose(single, batch, atol=0)
-
-
 def test_scalar_time_matches_repeated_time():
     rng = np.random.default_rng(4)
     params = fd.init_params(SMALL) + rng.normal(0, 0.2, fd.param_count(SMALL))
@@ -70,7 +61,7 @@ def test_corrupt_params_rejected():
     params = fd.init_params(SMALL)
     params[10] = np.nan
     with pytest.raises(fd.ModelCorruptError):
-        fd.predict(params, SMALL, 0.5, [0, 1, 0, 1])
+        fd.predict_batch(params, SMALL, 0.5, np.array([[0, 1, 0, 1]]))
 
 
 @pytest.mark.parametrize("spec", [

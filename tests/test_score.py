@@ -11,6 +11,16 @@ LN2_HALF = np.log(2.0) / 2.0
 T_HALF = T_F - LN2_HALF  # backward time whose forward time gives alpha = 1/2
 
 
+def score_at(mu0, t, x):
+    """Exact score of one state, from the source's batch form."""
+    return fd.ExactScoreSource(mu0, LAM, T_F).score_batch(t, np.atleast_2d(x))[0]
+
+
+def denoiser_at(mu0, t, x):
+    """Exact denoiser of one state, from the source's batch form."""
+    return fd.ExactScoreSource(mu0, LAM, T_F).denoiser_batch(t, np.atleast_2d(x))[0]
+
+
 def random_table(d, seed, low=0.05):
     rng = np.random.default_rng(seed)
     return fd.DenseTable.normalized(rng.uniform(low, 1.0, size=1 << d))
@@ -47,19 +57,19 @@ def test_score_target_guard_is_finite():
 
 
 def test_exact_denoiser_uniform():
-    dvec = fd.exact_denoiser(fd.uniform_table(3), T_HALF, [1, 0, 1], LAM, T_F)
+    dvec = denoiser_at(fd.uniform_table(3), T_HALF, [1, 0, 1])
     assert np.allclose(dvec, (1 - 0.5) / 2, atol=1e-12)
 
 
 def test_exact_denoiser_delta_is_indicator():
     x0 = np.array([1, 0, 1, 1])
-    dvec = fd.exact_denoiser(fd.delta_table(x0), 1.3, [0, 0, 1, 0], LAM, T_F)
+    dvec = denoiser_at(fd.delta_table(x0), 1.3, [0, 0, 1, 0])
     assert np.allclose(dvec, [1, 0, 0, 1], atol=1e-12)
 
 
 def test_exact_denoiser_d1_bayes_value():
     mu0 = fd.DenseTable(np.array([0.1, 0.9]))
-    dvec = fd.exact_denoiser(mu0, T_HALF, [1], LAM, T_F)
+    dvec = denoiser_at(mu0, T_HALF, [1])
     # independent hand-Bayes oracle: P(X0=0 | X_u=1) with alpha = 1/2
     numer = 0.1 * fd.kernel1(0, 1, LN2_HALF, LAM)
     denom = numer + 0.9 * fd.kernel1(1, 1, LN2_HALF, LAM)
@@ -70,11 +80,11 @@ def test_exact_denoiser_d1_bayes_value():
 def test_exact_score_examples():
     unif = fd.uniform_table(3)
     for t in (0.0, 1.0, 2.9):
-        svec = fd.exact_score(unif, t, [0, 1, 1], LAM, T_F)
+        svec = score_at(unif, t, [0, 1, 1])
         assert np.allclose(svec, 0.0, atol=1e-12)
     mu0 = fd.DenseTable(np.array([0.1, 0.9]))
-    assert fd.exact_score(mu0, T_HALF, [1], LAM, T_F)[0] == pytest.approx(0.4 / 0.7)
-    assert fd.exact_score(mu0, T_HALF, [0], LAM, T_F)[0] == pytest.approx(-4 / 3)
+    assert score_at(mu0, T_HALF, [1])[0] == pytest.approx(0.4 / 0.7)
+    assert score_at(mu0, T_HALF, [0])[0] == pytest.approx(-4 / 3)
 
 
 def test_score_upper_bound():
@@ -83,7 +93,7 @@ def test_score_upper_bound():
         table = random_table(4, seed)
         t = rng.uniform(0, T_F)
         x = rng.integers(0, 2, 4)
-        svec = fd.exact_score(table, t, x, LAM, T_F)
+        svec = score_at(table, t, x)
         assert (1.0 - svec >= 0).all()
 
 
@@ -104,9 +114,9 @@ def test_score_representations_agree():
         mu0 = random_table(d, seed)
         t = float(rng.uniform(0.0, T_F - 0.05))
         x = rng.integers(0, 2, d)
-        ratio = fd.exact_score(mu0, t, x, LAM, T_F)
+        ratio = score_at(mu0, t, x)
         cond = conditional_expectation_score(mu0, t, x, LAM, T_F)
-        affine = fd.score_from_denoiser(fd.exact_denoiser(mu0, t, x, LAM, T_F), t, LAM, T_F)
+        affine = fd.score_from_denoiser(denoiser_at(mu0, t, x), t, LAM, T_F)
         assert np.allclose(ratio, cond, rtol=1e-12, atol=1e-12)
         assert np.allclose(ratio, affine, rtol=1e-12, atol=1e-12)
 
@@ -118,7 +128,7 @@ def test_detailed_balance():
     u = T_F - t
     mass = fd.marginal_table(mu0, u, LAM).mass
     for x in fd.all_states(4):
-        svec = fd.exact_score(mu0, t, x, LAM, T_F)
+        svec = score_at(mu0, t, x)
         for ell in range(4):
             lhs = mass[fd.state_index(x)] * LAM * (1 - svec[ell])
             rhs = mass[fd.state_index(fd.flip(x, ell))] * LAM
@@ -128,39 +138,15 @@ def test_detailed_balance():
 def test_exact_score_zero_mass_state_errors():
     x0 = np.array([0, 0])
     with pytest.raises(ValueError):
-        fd.exact_score(fd.delta_table(x0), T_F, [1, 1], LAM, T_F)  # forward time 0
-
-
-def test_backward_rates():
-    total, weights = fd.backward_rates(np.zeros(3), 2.0)
-    assert total == pytest.approx(6.0)
-    assert np.allclose(weights, 1 / 3)
-    total, weights = fd.backward_rates(np.array([0.5, -0.5]), 1.0)
-    assert total == pytest.approx(2.0)
-    assert np.allclose(weights, [0.25, 0.75])
-    assert weights.sum() == pytest.approx(1.0)
-
-
-def test_backward_rates_zero_total():
-    total, weights = fd.backward_rates(np.ones(2), 1.0)
-    assert total == 0.0 and weights is None
+        score_at(fd.delta_table(x0), T_F, [1, 1])  # forward time 0
 
 
 def test_backward_rates_invalid_score():
     with pytest.raises(fd.InvalidScoreError):
-        fd.backward_rates(np.array([1.5, 0.0]), 1.0)
+        fd.score._check_rates(1.0 - np.array([1.5, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_backward_rates_rejects_non_finite_score(bad):
     with pytest.raises(fd.SamplerError):
-        fd.backward_rates(np.array([bad, 0.0]), 1.0)
-
-
-def test_weights_sum_to_one_random():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        svec = rng.uniform(-2.0, 1.0, size=rng.integers(1, 8))
-        total, weights = fd.backward_rates(svec, 0.7)
-        if total > 0:
-            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        fd.score._check_rates(1.0 - np.array([bad, 0.0]), 1.0)

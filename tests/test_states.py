@@ -73,16 +73,16 @@ def test_sawtooth_d16_shape():
 
 
 def test_prob_examples():
-    assert fd.prob(fd.ProductBernoulli([0.9]), [1]) == pytest.approx(0.9)
-    assert fd.prob(fd.uniform_table(3), [1, 0, 1]) == pytest.approx(0.125)
-    assert fd.prob(fd.ProductBernoulli([0.9, 0.2]), [1, 0]) == pytest.approx(0.72)
+    assert fd.ProductBernoulli([0.9]).prob([1]) == pytest.approx(0.9)
+    assert fd.uniform_table(3).prob([1, 0, 1]) == pytest.approx(0.125)
+    assert fd.ProductBernoulli([0.9, 0.2]).prob([1, 0]) == pytest.approx(0.72)
 
 
 def test_prob_dimension_mismatch():
     with pytest.raises(ValueError):
-        fd.prob(fd.ProductBernoulli([0.5, 0.5]), [1])
+        fd.ProductBernoulli([0.5, 0.5]).prob([1])
     with pytest.raises(ValueError):
-        fd.prob(fd.uniform_table(2), [1, 0, 1])
+        fd.uniform_table(2).prob([1, 0, 1])
 
 
 @given(st.integers(1, 8), st.integers(0, 10_000))
@@ -93,7 +93,7 @@ def test_prob_sums_to_one(d, seed):
     table = fd.DenseTable.normalized(rng.uniform(0.0, 1.0, size=1 << d) + 1e-9)
     states = fd.all_states(d)
     for dist in (product, table):
-        total = sum(fd.prob(dist, x) for x in states)
+        total = sum(dist.prob(x) for x in states)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -121,26 +121,26 @@ def test_dense_table_mass_validation():
 
 def test_sample_extreme_bit_frequency():
     dist = fd.ProductBernoulli([0.999, 0.5])
-    draws = fd.sample(dist, 10_000, np.random.default_rng(0))
+    draws = dist.sample(10_000, np.random.default_rng(0))
     assert_freq_within(draws.samples[:, 0].mean(), 0.999, 10_000, what="bit 0")
 
 
 def test_sample_from_delta_table():
     x0 = np.array([1, 0, 1], dtype=np.int8)
-    draws = fd.sample(fd.delta_table(x0), 500, np.random.default_rng(1))
+    draws = fd.delta_table(x0).sample(500, np.random.default_rng(1))
     assert (draws.samples == x0).all()
 
 
 def test_sample_uniform_multinomial_bands():
-    draws = fd.sample(fd.uniform_table(2), 100_000, np.random.default_rng(2))
+    draws = fd.uniform_table(2).sample(100_000, np.random.default_rng(2))
     counts = np.bincount(fd.state_indices(draws.samples), minlength=4)
     assert multinomial_bands_ok(counts, np.full(4, 0.25))
 
 
 def test_sampling_is_seed_deterministic():
     dist = fd.sawtooth_params(6)
-    a = fd.sample(dist, 100, np.random.default_rng(42)).samples
-    b = fd.sample(dist, 100, np.random.default_rng(42)).samples
+    a = dist.sample(100, np.random.default_rng(42)).samples
+    b = dist.sample(100, np.random.default_rng(42)).samples
     assert (a == b).all()
 
 
