@@ -2,7 +2,8 @@
 marginal, the validate-bounds report, the sliced Wasserstein metric, a
 sample dump's bytes and read-back, the exact dense denoiser and score,
 ``propagate_mass`` at d=8, three samplers on a d=8 learned source, two
-training runs, and single-chain discretized draws.
+training runs, single-chain discretized draws, and ``distinct_rows`` on
+int8 and float64 0/1 sets.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
 change meant to be exact can be checked with one diff:
@@ -113,6 +114,7 @@ def main() -> int:
     lines += d8_lines(srcs["exact-dense-d4"])
     lines += training_lines()
     lines.append(single_chain_line(srcs))
+    lines.append(distinct_rows_line())
     print("\n".join(lines))
     return 0
 
@@ -180,6 +182,20 @@ def single_chain_line(srcs) -> str:
     draws = [np.stack([fd.sample_discretized_batch(src, schedule, LAM, 1, rng)[0]
                        for _ in range(200)]) for src in srcs.values()]
     return f"single-chain/discrete {digest(*draws, rng.random(4))}"
+
+
+def distinct_rows_line() -> str:
+    """``first``, ``inverse`` and ``counts`` of ``distinct_rows`` on 3000 rows
+    drawn from 200 random 0/1 rows, so rows repeat at every d, as int8 and as
+    float64, at d = 3, 8, 16 and 40."""
+    rng = np.random.default_rng(34)
+    outputs = []
+    for d in (3, 8, 16, 40):
+        pool = rng.integers(0, 2, size=(200, d), dtype=np.int8)
+        rows = pool[rng.integers(0, 200, size=3000)]
+        for dtype in (np.int8, np.float64):
+            outputs += fd.distinct_rows(rows.astype(dtype))
+    return f"distinct_rows {digest(*outputs)}"
 
 
 if __name__ == "__main__":

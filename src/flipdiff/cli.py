@@ -66,8 +66,8 @@ def build_distribution(config: RunConfig) -> Distribution:
     if spec.kind == "product":
         return ProductBernoulli(np.asarray(spec.probs))
     if spec.kind == "table-file":
-        payload = json.loads(Path(spec.path).read_text())
-        mass = np.asarray(payload["mass"], dtype=np.float64)
+        payload = _read_json_object(spec.path)
+        mass = _number_field(spec.path, payload, "mass", 1 << config.d)
         total = mass.sum()
         if abs(total - 1.0) > 1e-12:
             print(f"warning: table masses sum to {total!r}; normalizing", file=sys.stderr)
@@ -184,23 +184,34 @@ def cmd_sample(config: RunConfig, out: str | None, exact_oracle: bool,
     return 0
 
 
-def _read_dataset(path) -> tuple[Distribution, dict]:
-    """The reference law in a gen-data ``dataset.json`` and the file's fields;
-    a malformed file raises ConfigError naming the field."""
+def _read_json_object(path) -> dict:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ConfigError(f"dataset file {path}: expected a JSON object")
+    return payload
+
+
+def _number_field(path, payload: dict, field: str, size: int) -> np.ndarray:
+    """``payload[field]`` as a float array; anything but a list of ``size``
+    numbers raises ConfigError naming the file and the field."""
+    values = payload.get(field)
+    if not isinstance(values, list) or len(values) != size \
+            or not all(isinstance(v, (int, float)) for v in values):
+        raise ConfigError(f"dataset file {path}: field {field!r} must list {size} numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
+def _read_dataset(path) -> tuple[Distribution, dict]:
+    """The reference law in a gen-data ``dataset.json`` and the file's fields;
+    a malformed file raises ConfigError naming the field."""
+    payload = _read_json_object(path)
     kind, d = payload.get("kind"), payload.get("d")
     if kind not in ("product", "table"):
         raise ConfigError(f"dataset file {path}: field 'kind' is {kind!r}, not product or table")
     if type(d) is not int or d < 1:
         raise ConfigError(f"dataset file {path}: field 'd' is {d!r}, not a positive integer")
     field, size = ("probs", d) if kind == "product" else ("mass", 1 << d)
-    values = payload.get(field)
-    if not isinstance(values, list) or len(values) != size \
-            or not all(isinstance(v, (int, float)) for v in values):
-        raise ConfigError(f"dataset file {path}: field {field!r} must list {size} numbers")
-    values = np.asarray(values, dtype=np.float64)
+    values = _number_field(path, payload, field, size)
     return (ProductBernoulli(values) if kind == "product" else DenseTable(values)), payload
 
 

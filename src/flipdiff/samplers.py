@@ -6,7 +6,9 @@ time from 0 to the schedule horizon, driven by a score source:
 - ``sample_continuous_batch``: exact uniformized thinning: proposals from a
   Poisson clock of rate d*R(t), R = lam*coth(lam*u) held at its window-end
   value on windows that halve in forward time u down to T_MIN, each accepted
-  with probability rate/R,
+  with probability rate/R; those whose acceptance uniform falls below
+  lam*tanh(lam*u)/R, which every valid rate reaches, flip without a score
+  call,
 - ``sample_percoord_batch``: one exponential clock per coordinate with the
   rates integrated by trapezoid micro steps, an independent quadrature check
   of the thinning sampler,
@@ -215,9 +217,9 @@ class LearnedScoreSource:
         return score_from_denoiser(self.denoiser_rows(ts, X), ts[:, None], self.lam, self.t_f)
 
     def denoiser_batch(self, t: float, X) -> np.ndarray:
-        """Denoiser at one time for every row of ``X``. Rows are keyed by their
-        bytes, each distinct row is evaluated once, and the results are
-        scattered back in the caller's row order."""
+        """Denoiser at one time for every 0/1 row of ``X``. Each distinct row
+        (``distinct_rows``) is evaluated once, and the results are scattered
+        back in the caller's row order."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"states must have shape (n, {self.d})")
@@ -324,12 +326,18 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | 
     Every backward rate lam*(1 - s) is at most R(t) = lam*(1 - a_coef + b_coef)
     = lam*coth(lam*u), since s = a_coef - b_coef*d with d in [0, 1]. On each
     window of ``_thinning_windows`` R is held at its window-end value, where
-    it is largest. Each round, every unfinished chain draws an Exp(d*R) step:
-    past its window's end it moves on to the next window; otherwise it
-    proposes a uniform coordinate, scored through one ``score_rows`` call at
-    the chains' own times, and flips it with probability rate/R. A ratio
-    above 1 + RATE_TOL raises SamplerError. Returns the final states and,
-    with ``return_jump_counts``, the flips per chain.
+    it is largest. Every rate is also at least lam*(1 - a_coef) =
+    lam*tanh(lam*u), the floor. Each round, every unfinished chain draws an
+    Exp(d*R) step: past its window's end it moves on to the next window;
+    otherwise it proposes a uniform coordinate and draws its acceptance
+    uniform U. A proposal with U < floor/R flips unscored (the squeeze, with
+    the floor taken at the proposal's own forward time and shrunk by
+    RATE_TOL); the rest are scored through one ``score_rows`` call at the
+    chains' own times and flip if U < rate/R. A scored rate above
+    R*(1 + RATE_TOL) or below the floor raises SamplerError. Scoring draws
+    no randomness, so the output equals the unsqueezed loop's bit for bit.
+    Returns the final states and, with ``return_jump_counts``, the flips per
+    chain.
     """
     lam = src.lam if lam is None else lam
     d = src.d
@@ -352,13 +360,24 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | 
         if prop.size:
             t[prop] = t_next[~passed]
             coords = rng.integers(0, d, size=prop.size)
-            rates = _check_rates(lam * (1.0 - src.score_rows(t[prop], X[prop])), lam)
-            ratio = rates[np.arange(prop.size), coords] / r
-            if (ratio > 1.0 + RATE_TOL).any():
-                worst = int(np.argmax(ratio))
-                raise SamplerError(f"backward rate {ratio[worst] * r[worst]!r} exceeds the "
-                                   f"thinning bound {r[worst]!r} at t={t[prop[worst]]!r}")
-            flip = rng.random(prop.size) < ratio
+            accept = rng.random(prop.size)
+            floor = lam * np.tanh(src.lam * (src.t_f - t[prop])) * (1.0 - RATE_TOL)
+            flip = accept < floor / r
+            scored = np.flatnonzero(~flip)
+            if scored.size:
+                rows, r, floor = prop[scored], r[scored], floor[scored]
+                rates = _check_rates(lam * (1.0 - src.score_rows(t[rows], X[rows])), lam)
+                rate = rates[np.arange(scored.size), coords[scored]]
+                ratio = rate / r
+                if (ratio > 1.0 + RATE_TOL).any():
+                    worst = int(np.argmax(ratio))
+                    raise SamplerError(f"backward rate {rate[worst]!r} exceeds the thinning "
+                                       f"bound {r[worst]!r} at t={t[rows[worst]]!r}")
+                if (rate < floor).any():
+                    worst = int(np.argmax(floor - rate))
+                    raise SamplerError(f"backward rate {rate[worst]!r} is below the floor "
+                                       f"{floor[worst]!r} at t={t[rows[worst]]!r}")
+                flip[scored] = accept[scored] < ratio
             X[prop[flip], coords[flip]] ^= 1
             jumps[prop[flip]] += 1
         live = live[window[live] < edges.size - 1]

@@ -61,14 +61,27 @@ def flip_index(d: int) -> np.ndarray:
 
 
 def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-d array, keyed by their bytes and ordered by key.
+    """Distinct rows of an (n, d) array of 0/1 entries, in lexicographic
+    order with column 0 first.
 
-    Returns ``first`` (the index of each distinct row's first occurrence),
-    ``inverse`` (``X[first][inverse]`` rebuilds ``X``) and ``counts`` (each
-    distinct row's multiplicity).
+    Rows are keyed by their packed bits, column 0 the most significant: for
+    d <= 16 as a big-endian uint16, which numpy's stable sort orders by radix
+    sort, and above that as packed-byte void keys. Returns ``first`` (the
+    index of each distinct row's first occurrence), ``inverse``
+    (``X[first][inverse]`` rebuilds ``X``) and ``counts`` (each distinct
+    row's multiplicity). An entry other than 0 or 1 raises ValueError.
     """
-    X = np.ascontiguousarray(X)
-    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    X = np.asarray(X)
+    ones = X == 1
+    if np.count_nonzero(X) != np.count_nonzero(ones):
+        raise ValueError("row entries must be 0 or 1")
+    packed = np.packbits(ones, axis=1)
+    if X.shape[1] <= 16:
+        wide = np.zeros((X.shape[0], 2), dtype=np.uint8)
+        wide[:, :packed.shape[1]] = packed
+        keys = wide.view(">u2").ravel()
+    else:
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
                                           return_counts=True)
     return first, inverse, counts

@@ -141,6 +141,24 @@ def test_gen_data_table_normalization_warning(tmp_path, capsys):
     assert payload["mass"][3] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"probs": [0.25] * 4}, "'mass'"),
+    ([0.25] * 4, "JSON object"),
+    ({"mass": [0.5, 0.5]}, "'mass'"),
+    ({"mass": [0.25, 0.25, "x", 0.25]}, "'mass'"),
+], ids=["no-mass", "list", "short-mass", "str-mass"])
+def test_gen_data_rejects_malformed_table_file(tmp_path, capsys, payload, field):
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(payload))
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, d=2, dataset={"kind": "table-file", "path": str(table_path)})
+    code = main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "data")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(table_path) in err and field in err
+    assert "Traceback" not in err
+
+
 def test_train_sample_eval_pipeline(tmp_path):
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path)

@@ -1,8 +1,12 @@
 """Denoiser network: forward pass, hand-written gradients, optimizer,
 checkpoint format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flipdiff as fd
 from flipdiff.model import loss_and_grad
@@ -195,6 +199,29 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(raw[: len(raw) - 64])
     with pytest.raises(fd.CheckpointFormatError):
         fd.load_checkpoint(path)
+
+
+def _checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        fd.save_checkpoint(path, fd.init_params(SMALL), SMALL, _meta())
+        return path.read_bytes()
+
+
+CHECKPOINT = _checkpoint_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut=st.integers(0, len(CHECKPOINT) - 1))
+def test_checkpoint_cut_at_any_offset(cut):
+    """A checkpoint cut short anywhere, in the header or in the parameter
+    block, is a format error. (Bit flips inside the parameter block load
+    without error: the format has no checksum.)"""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        path.write_bytes(CHECKPOINT[:cut])
+        with pytest.raises(fd.CheckpointFormatError):
+            fd.load_checkpoint(path)
 
 
 def test_checkpoint_config_mismatch(tmp_path):

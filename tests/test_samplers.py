@@ -207,10 +207,12 @@ class RowsOnlyScoreSource:
 
 
 def test_continuous_thinning_proposal_count():
-    """Proposals are scored at per-chain times inside (0, t_f), one row each,
-    and their number per chain is Poisson with mean the integral of d*R over
-    the windows, R = lam*coth(lam*u) at each window's smallest forward time
-    u, floored at T_MIN."""
+    """Proposals are scored at per-chain times inside (0, t_f), one row each.
+    The squeeze accepts a proposal unscored with probability floor/R, so the
+    scored ones per chain are Poisson with mean the integral of d*(R - floor)
+    over the windows: R = lam*coth(lam*u) at each window's smallest forward
+    time u, floored at T_MIN, less floor = lam*tanh(lam*u), whose integral
+    over [0, t_f] is ln cosh(lam*t_f)."""
     n, t_f, d = 400, 3.0, 3
     src = RowsOnlyScoreSource(exact_src(fd.sawtooth_params(d), t_f))
     fd.sample_continuous_batch(src, n, np.random.default_rng(32))
@@ -222,6 +224,7 @@ def test_continuous_thinning_proposal_count():
     u_edges += [fd.T_MIN, 0.0]
     expected = sum(d * LAM / np.tanh(LAM * max(lo, fd.T_MIN)) * (hi - lo)
                    for hi, lo in zip(u_edges, u_edges[1:]))
+    expected -= d * np.log(np.cosh(LAM * t_f))
     mean = times.size / n
     assert abs(mean - expected) < 3 * np.sqrt(expected / n)
 
@@ -405,6 +408,80 @@ def test_continuous_rejects_rates_above_thinning_bound():
     src = fd.ShiftedScoreSource(exact_src(fd.sawtooth_params(3)), rate_bump=0.5)
     with pytest.raises(fd.SamplerError):
         fd.sample_continuous_batch(src, 200, np.random.default_rng(38))
+
+
+def unsqueezed_continuous(src, n, rng):
+    """The thinning loop without the squeeze: every proposal is scored and
+    flips with probability rate/R. The reference the sampler must equal."""
+    lam, d = src.lam, src.d
+    edges = fd.samplers._thinning_windows(src.t_f)
+    a_coef, b_coef = fd.score._affine_coeffs(edges[1:], src.lam, src.t_f)
+    bound = lam * (1.0 - a_coef + b_coef)
+    X = rng.integers(0, 2, size=(n, d), dtype=np.int8)
+    jumps = np.zeros(n, dtype=np.int64)
+    t = np.zeros(n)
+    window = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    while live.size:
+        r = bound[window[live]]
+        t_next = t[live] + rng.exponential(size=live.size) / (d * r)
+        passed = t_next >= edges[window[live] + 1]
+        moved = live[passed]
+        t[moved] = edges[window[moved] + 1]
+        window[moved] += 1
+        prop, r = live[~passed], r[~passed]
+        if prop.size:
+            t[prop] = t_next[~passed]
+            coords = rng.integers(0, d, size=prop.size)
+            rates = lam * (1.0 - src.score_rows(t[prop], X[prop]))
+            ratio = np.maximum(rates, 0.0)[np.arange(prop.size), coords] / r
+            assert (ratio <= 1.0 + fd.score.RATE_TOL).all()
+            flip = rng.random(prop.size) < ratio
+            X[prop[flip], coords[flip]] ^= 1
+            jumps[prop[flip]] += 1
+        live = live[window[live] < edges.size - 1]
+    return X, jumps
+
+
+def squeeze_sources():
+    dense = np.random.default_rng(39).uniform(0.05, 1.0, 16)
+    cfg = fd.ModelConfig(d=8, blocks=1, width=32, time_embed_dim=16, seed=8)
+    params = fd.init_params(cfg) + np.random.default_rng(40).normal(0.0, 0.3, fd.param_count(cfg))
+    return {
+        "product-d3": exact_src(fd.ProductBernoulli([0.1, 0.5, 0.85])),
+        "dense-d4": exact_src(fd.DenseTable.normalized(dense)),
+        "learned-d8": fd.LearnedScoreSource(params, cfg, LAM, 3.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["product-d3", "dense-d4", "learned-d8"])
+def test_continuous_squeeze_matches_unsqueezed_loop(name):
+    """The squeeze changes which proposals are scored, never a state or a
+    jump count."""
+    src = squeeze_sources()[name]
+    n = 200 if src.kind == "learned" else 2000
+    X, jumps = fd.sample_continuous_batch(src, n, np.random.default_rng(41),
+                                          return_jump_counts=True)
+    X_ref, jumps_ref = unsqueezed_continuous(src, n, np.random.default_rng(41))
+    assert (X == X_ref).all() and (jumps == jumps_ref).all()
+
+
+class HalfFloorScoreSource:
+    """Every backward rate is half of lam*tanh(lam*u): valid as a rate, but
+    below the floor that no true score goes under."""
+
+    def __init__(self, d, lam, t_f):
+        self.d, self.lam, self.t_f = d, lam, t_f
+
+    def score_rows(self, ts, X):
+        u = self.t_f - np.asarray(ts, dtype=np.float64)
+        return np.tile(1.0 - 0.5 * np.tanh(self.lam * u)[:, None], (1, self.d))
+
+
+def test_continuous_rejects_rates_below_floor():
+    with pytest.raises(fd.SamplerError, match="below the floor"):
+        fd.sample_continuous_batch(HalfFloorScoreSource(3, LAM, 3.0), 200,
+                                   np.random.default_rng(42))
 
 
 def test_percoord_matches_law():

@@ -3,6 +3,7 @@ detailed balance, and backward rates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flipdiff as fd
 
@@ -119,6 +120,25 @@ def test_score_representations_agree():
         affine = fd.score_from_denoiser(denoiser_at(mu0, t, x), t, LAM, T_F)
         assert np.allclose(ratio, cond, rtol=1e-12, atol=1e-12)
         assert np.allclose(ratio, affine, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), t=st.floats(0.0, T_F, exclude_max=True), seed=st.integers(0, 2**16))
+def test_score_denoiser_round_trip(d, t, seed):
+    """score_from_denoiser and denoiser_from_score invert each other at any
+    backward time, and map the exact denoiser to the exact score wherever
+    the forward time is not clamped to T_MIN."""
+    rng = np.random.default_rng(seed)
+    dvec = rng.uniform(0.0, 1.0, (5, d))
+    svec = fd.score_from_denoiser(dvec, t, LAM, T_F)
+    assert np.allclose(fd.denoiser_from_score(svec, t, LAM, T_F), dvec, rtol=0, atol=1e-12)
+    assert np.allclose(fd.score_from_denoiser(fd.denoiser_from_score(svec, t, LAM, T_F),
+                                              t, LAM, T_F), svec, rtol=1e-12, atol=1e-12)
+    t_exact = min(t, T_F - fd.T_MIN)
+    src = fd.ExactScoreSource(random_table(d, seed), LAM, T_F)
+    X = rng.integers(0, 2, (5, d))
+    assert np.allclose(fd.score_from_denoiser(src.denoiser_batch(t_exact, X), t_exact, LAM, T_F),
+                       src.score_batch(t_exact, X), rtol=1e-9, atol=1e-9)
 
 
 def test_detailed_balance():

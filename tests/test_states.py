@@ -166,3 +166,39 @@ def test_distinct_rows(dtype):
     perm = rng.permutation(500)
     first_p, _, counts_p = fd.distinct_rows(X[perm])
     assert (X[perm][first_p] == X[first]).all() and (counts_p == counts).all()
+
+
+def byte_keyed_distinct_rows(X):
+    """Distinct rows keyed by each row's raw bytes: the reference the
+    packed-bit keys must reproduce on 0/1 rows."""
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return first, inverse, counts
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 9, 16, 17, 40, 70])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, bool, np.float64])
+def test_distinct_rows_match_byte_keys(d, dtype):
+    rng = np.random.default_rng(d)
+    # few distinct rows at large d too, so duplicates and first occurrences matter
+    pool = rng.integers(0, 2, (min(1 << d, 50), d))
+    X = pool[rng.integers(0, pool.shape[0], 800)].astype(dtype)
+    for rows in (X, X[rng.permutation(800)]):
+        got, want = fd.distinct_rows(rows), byte_keyed_distinct_rows(rows)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and (a == b).all()
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_distinct_rows_rejects_non_binary_entries(bad):
+    X = np.zeros((4, 3))
+    X[2, 1] = bad
+    with pytest.raises(ValueError):
+        fd.distinct_rows(X)
+
+
+def test_distinct_rows_empty():
+    first, inverse, counts = fd.distinct_rows(np.zeros((0, 5), dtype=np.int8))
+    assert first.size == inverse.size == counts.size == 0
