@@ -1,5 +1,5 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
-marginal, the validate-bounds report, the sliced Wasserstein metric, a
+marginal, the exact reverse law, the validate-bounds report, the sliced Wasserstein metric, a
 sample dump's bytes and read-back, the exact dense denoiser and score,
 ``propagate_mass`` at d=8, three samplers on a d=8 learned source, two
 training runs, single-chain discretized draws, and ``distinct_rows`` on
@@ -89,6 +89,9 @@ def main() -> int:
     for name in ("exact-product-d3", "exact-dense-d4"):
         terminal = fd.exact_backward_marginal(srcs[name], schedule, LAM)
         lines.append(f"{name}/exact_backward_marginal {digest(terminal.mass)}")
+    nu_product = fd.exact_reverse_law(srcs["exact-product-d3"].dist, LAM, T_F)
+    nu_dense = fd.exact_reverse_law(srcs["exact-dense-d4"].dist, LAM, T_F)
+    lines.append(f"exact_reverse_law {digest(nu_product.probs, nu_dense.mass)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):

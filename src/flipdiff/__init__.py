@@ -106,6 +106,7 @@ from .metrics import (
     early_stop_tv_bound,
     estimate_score_error,
     exact_backward_marginal,
+    exact_reverse_law,
     flip_fisher_info,
     kl_convergence_bound,
     kl_divergence,

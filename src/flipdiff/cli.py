@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -193,11 +194,14 @@ def _read_json_object(path) -> dict:
 
 def _number_field(path, payload: dict, field: str, size: int) -> np.ndarray:
     """``payload[field]`` as a float array; anything but a list of ``size``
-    numbers raises ConfigError naming the file and the field."""
+    finite numbers (JSON ``true``/``false``, ``NaN`` and ``Infinity`` are not)
+    raises ConfigError naming the file and the field."""
     values = payload.get(field)
-    if not isinstance(values, list) or len(values) != size \
-            or not all(isinstance(v, (int, float)) for v in values):
-        raise ConfigError(f"dataset file {path}: field {field!r} must list {size} numbers")
+    if not isinstance(values, list) or len(values) != size or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values):
+        raise ConfigError(f"dataset file {path}: field {field!r} must list {size} "
+                          "finite numbers")
     return np.asarray(values, dtype=np.float64)
 
 

@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, EnumerationLimitError, PlanningError
+from .forward import alpha, propagate_mass
 from .samplers import _rate_rows, sample_discretized_batch
 from .schedules import TimeSchedule
-from .states import (DenseTable, EmpiricalSet, all_states, distinct_rows, flip_index,
-                     index_to_state)
+from .states import (DenseTable, Distribution, EmpiricalSet, ProductBernoulli, all_states,
+                     distinct_rows, flip_index, index_to_state)
 
 UNIFORMIZATION_TAIL = 1e-14
 EXACT_BACKWARD_LIMIT = 10  # generator is 2^d x 2^d
@@ -288,6 +289,26 @@ def exact_backward_marginal(src, schedule: TimeSchedule, lam: float) -> DenseTab
         rates = _rate_rows(src, grid[k], states, lam)
         mass = _uniformized_step(mass, rates, grid[k + 1] - grid[k])
     return DenseTable(mass)
+
+
+def exact_reverse_law(dist: Distribution, lam: float, t_f: float) -> Distribution:
+    """Law of the exact time reversal at the horizon when it starts from the
+    uniform law pi instead of the forward marginal mu_{t_f}: what the
+    continuous-time samplers target with the true score.
+
+    nu(x) = mu*(x) * sum_y K_{t_f}(x, y) pi(y) / mu_{t_f}(y). The kernel is
+    symmetric, so a dense law takes two ``propagate_mass`` calls; a product
+    law stays a product, one factor per bit, in O(d).
+    """
+    if not t_f > 0:
+        raise ValueError(f"t_f must be > 0, got {t_f!r}")
+    a = alpha(t_f, lam)
+    if isinstance(dist, ProductBernoulli):
+        q1 = 0.5 + (dist.probs - 0.5) * a
+        stay, move = 0.25 * (1.0 + a), 0.25 * (1.0 - a)
+        return ProductBernoulli(dist.probs * (stay / q1 + move / (1.0 - q1)))
+    ratio = (1.0 / dist.mass.size) / propagate_mass(dist.mass, t_f, lam)
+    return DenseTable(dist.mass * propagate_mass(ratio, t_f, lam))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,11 @@
 All samplers start from the uniform distribution on {0,1}^d and run backward
 time from 0 to the schedule horizon, driven by a score source:
 
-- ``sample_continuous_batch``: exact uniformized thinning: proposals from a
-  Poisson clock of rate d*R(t), R = lam*coth(lam*u) held at its window-end
-  value on windows that halve in forward time u down to T_MIN, each accepted
+- ``sample_continuous_batch``: exact thinning: proposals from a Poisson
+  clock on the envelope d*R(u), R = lam*coth(lam*u) in forward time u,
+  drawn by inverting the envelope's integral in closed form, each accepted
   with probability rate/R; those whose acceptance uniform falls below
-  lam*tanh(lam*u)/R, which every valid rate reaches, flip without a score
-  call,
+  lam*tanh(lam*u)/R, which every valid rate reaches, flip unscored,
 - ``sample_percoord_batch``: one exponential clock per coordinate with the
   rates integrated by trapezoid micro steps, an independent quadrature check
   of the thinning sampler,
@@ -40,8 +39,7 @@ from .errors import SampleFormatError, SamplerError
 from .forward import alpha, propagate_mass
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
-from .score import (RATE_TOL, T_MIN, _affine_coeffs, _check_rates, denoiser_from_score,
-                    score_from_denoiser)
+from .score import RATE_TOL, T_MIN, _check_rates, denoiser_from_score, score_from_denoiser
 from .states import (Distribution, EmpiricalSet, ProductBernoulli, distinct_rows, flip_index,
                      state_indices)
 
@@ -306,81 +304,80 @@ def _uniform_start(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 # --- continuous time -----------------------------------------------------------
 
 
-def _thinning_windows(t_f: float) -> np.ndarray:
-    """Backward-time edges of the thinning windows: in forward time u they
-    run from t_f down to T_MIN, each half as wide as the one before (the
-    last cut at T_MIN), then [0, T_MIN]."""
-    u = [t_f]
-    while u[-1] / 2.0 > T_MIN:
-        u.append(u[-1] / 2.0)
-    if t_f > T_MIN:
-        u.append(T_MIN)
-    u.append(0.0)
-    return t_f - np.asarray(u)
+def _log_sinh(z):
+    """ln sinh(z) for z > 0, finite where sinh itself overflows (z > 710)."""
+    return z + np.log(-np.expm1(-2.0 * z)) - np.log(2.0)
+
+
+def _next_proposal(u, e, d: int, lam: float, lam_s: float) -> np.ndarray:
+    """Forward time of each chain's next proposal on the envelope d*R(v),
+    R(v) = lam*coth(lam_s*max(v, T_MIN)), from forward times ``u`` and Exp(1)
+    draws ``e``. Above T_MIN the envelope integrates to
+    (d*lam/lam_s)*ln sinh(lam_s*v), so the proposal solves ln sinh(lam_s*v) =
+    y = ln sinh(lam_s*u) - e*lam_s/(d*lam), v = asinh(exp(y))/lam_s; below
+    T_MIN the rest of the draw is spent at the constant rate d*R(T_MIN). A
+    time <= 0 means the chain reaches the horizon first."""
+    z_min = lam_s * T_MIN
+    y_min = _log_sinh(z_min)
+    y = _log_sinh(lam_s * np.maximum(u, T_MIN))
+    y -= e * (lam_s / (d * lam))
+    # asinh(exp(y)) from w = exp(-|y|) <= 1, so nothing overflows
+    w = np.exp(-np.abs(y))
+    v = np.where(y < 0.0, np.arcsinh(w), y + np.log1p(np.sqrt(1.0 + w * w)))
+    v /= lam_s
+    below = np.minimum(u, T_MIN) - (y_min - y) * (np.tanh(z_min) / lam_s)
+    return np.where(y > y_min, v, below)
 
 
 def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | None = None,
                             return_jump_counts: bool = False):
-    """Exact continuous-time sampling across n chains by uniformized thinning.
+    """Exact continuous-time sampling across n chains by thinning.
 
-    Every backward rate lam*(1 - s) is at most R(t) = lam*(1 - a_coef + b_coef)
-    = lam*coth(lam*u), since s = a_coef - b_coef*d with d in [0, 1]. On each
-    window of ``_thinning_windows`` R is held at its window-end value, where
-    it is largest. Every rate is also at least lam*(1 - a_coef) =
-    lam*tanh(lam*u), the floor. Each round, every unfinished chain draws an
-    Exp(d*R) step: past its window's end it moves on to the next window;
-    otherwise it proposes a uniform coordinate and draws its acceptance
-    uniform U. A proposal with U < floor/R flips unscored (the squeeze, with
-    the floor taken at the proposal's own forward time and shrunk by
-    RATE_TOL); the rest are scored through one ``score_rows`` call at the
-    chains' own times and flip if U < rate/R. A scored rate above
-    R*(1 + RATE_TOL) or below the floor raises SamplerError. Scoring draws
-    no randomness, so the output equals the unsqueezed loop's bit for bit.
-    Returns the final states and, with ``return_jump_counts``, the flips per
-    chain.
+    Every backward rate lam*(1 - s) lies between the floor lam*(1 - a_coef) =
+    lam*tanh(lam_s*u) and lam*(1 - a_coef + b_coef) = lam*coth(lam_s*u) at
+    forward time u = t_f - t, since s = a_coef - b_coef*d with d in [0, 1]
+    (lam_s = src.lam; the coefficients clamp u at T_MIN). Each round, every
+    unfinished chain draws its next proposal on the envelope d*R(u), R =
+    lam*coth(lam_s*max(u, T_MIN)), in closed form (``_next_proposal``), then
+    a uniform coordinate and an acceptance uniform U. A proposal with
+    U < floor/R flips unscored (the squeeze, the floor shrunk by RATE_TOL);
+    the rest are scored through one ``score_rows`` call at the chains' own
+    times and flip if U < rate/R. A scored rate above R*(1 + RATE_TOL) or
+    below the floor raises SamplerError. Scoring draws no randomness, so the
+    output equals the unsqueezed loop's bit for bit. Returns the final states
+    and, with ``return_jump_counts``, the flips per chain.
     """
     lam = src.lam if lam is None else lam
-    d = src.d
-    edges = _thinning_windows(src.t_f)
-    a_coef, b_coef = _affine_coeffs(edges[1:], src.lam, src.t_f)
-    bound = lam * (1.0 - a_coef + b_coef)
+    d, lam_s, t_f = src.d, src.lam, src.t_f
     X = _uniform_start(n, d, rng)
     jumps = np.zeros(n, dtype=np.int64)
-    t = np.zeros(n)
-    window = np.zeros(n, dtype=np.int64)
-    live = np.arange(n)
+    live, t = np.arange(n), np.zeros(n)
     while live.size:
-        r = bound[window[live]]
-        t_next = t[live] + rng.exponential(size=live.size) / (d * r)
-        passed = t_next >= edges[window[live] + 1]
-        moved = live[passed]
-        t[moved] = edges[window[moved] + 1]
-        window[moved] += 1
-        prop, r = live[~passed], r[~passed]
-        if prop.size:
-            t[prop] = t_next[~passed]
-            coords = rng.integers(0, d, size=prop.size)
-            accept = rng.random(prop.size)
-            floor = lam * np.tanh(src.lam * (src.t_f - t[prop])) * (1.0 - RATE_TOL)
-            flip = accept < floor / r
-            scored = np.flatnonzero(~flip)
-            if scored.size:
-                rows, r, floor = prop[scored], r[scored], floor[scored]
-                rates = _check_rates(lam * (1.0 - src.score_rows(t[rows], X[rows])), lam)
-                rate = rates[np.arange(scored.size), coords[scored]]
-                ratio = rate / r
-                if (ratio > 1.0 + RATE_TOL).any():
-                    worst = int(np.argmax(ratio))
-                    raise SamplerError(f"backward rate {rate[worst]!r} exceeds the thinning "
-                                       f"bound {r[worst]!r} at t={t[rows[worst]]!r}")
-                if (rate < floor).any():
-                    worst = int(np.argmax(floor - rate))
-                    raise SamplerError(f"backward rate {rate[worst]!r} is below the floor "
-                                       f"{floor[worst]!r} at t={t[rows[worst]]!r}")
-                flip[scored] = accept[scored] < ratio
-            X[prop[flip], coords[flip]] ^= 1
-            jumps[prop[flip]] += 1
-        live = live[window[live] < edges.size - 1]
+        t = t_f - _next_proposal(t_f - t, rng.exponential(size=live.size), d, lam, lam_s)
+        live, t = live[t < t_f], t[t < t_f]
+        coords = rng.integers(0, d, size=live.size)
+        accept = rng.random(live.size)
+        # R and the floor at u = t_f - t, the forward time the source sees
+        r = lam / np.tanh(lam_s * np.maximum(t_f - t, T_MIN))
+        floor = lam * np.tanh(lam_s * (t_f - t)) * (1.0 - RATE_TOL)
+        flip = accept < floor / r
+        scored = ~flip
+        if scored.any():
+            r, floor, t_scored = r[scored], floor[scored], t[scored]
+            rates = _check_rates(lam * (1.0 - src.score_rows(t_scored, X[live[scored]])), lam)
+            rate = rates[np.arange(r.size), coords[scored]]
+            ratio = rate / r
+            if (ratio > 1.0 + RATE_TOL).any():
+                worst = int(np.argmax(ratio))
+                raise SamplerError(f"backward rate {rate[worst]!r} exceeds the thinning "
+                                   f"bound {r[worst]!r} at t={t_scored[worst]!r}")
+            if (rate < floor).any():
+                worst = int(np.argmax(floor - rate))
+                raise SamplerError(f"backward rate {rate[worst]!r} is below the floor "
+                                   f"{floor[worst]!r} at t={t_scored[worst]!r}")
+            flip[scored] = accept[scored] < ratio
+        X[live[flip], coords[flip]] ^= 1
+        jumps[live[flip]] += 1
     return (X, jumps) if return_jump_counts else X
 
 

@@ -156,6 +156,8 @@ class DenseTable:
             raise ValueError("mass must have length 2^d with d >= 1")
         d = mass.size.bit_length() - 1
         check_enum_limit(d)
+        if not np.isfinite(mass).all():
+            raise ValueError("masses must be finite")
         if (mass < 0).any():
             raise ValueError("masses must be nonnegative")
         if abs(mass.sum() - 1.0) > MASS_TOL:
@@ -166,6 +168,8 @@ class DenseTable:
     def normalized(cls, mass) -> "DenseTable":
         """Build a table from nonnegative weights, rescaling to total mass 1."""
         mass = np.asarray(mass, dtype=np.float64)
+        if not np.isfinite(mass).all():
+            raise ValueError("masses must be finite")
         total = mass.sum()
         if total <= 0:
             raise ValueError("cannot normalize: total mass is not positive")

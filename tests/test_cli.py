@@ -146,7 +146,10 @@ def test_gen_data_table_normalization_warning(tmp_path, capsys):
     ([0.25] * 4, "JSON object"),
     ({"mass": [0.5, 0.5]}, "'mass'"),
     ({"mass": [0.25, 0.25, "x", 0.25]}, "'mass'"),
-], ids=["no-mass", "list", "short-mass", "str-mass"])
+    ({"mass": [float("nan"), 0.5, 0.25, 0.25]}, "'mass'"),
+    ({"mass": [float("inf"), 0.5, 0.25, 0.25]}, "'mass'"),
+    ({"mass": [True, 0, 0, 0]}, "'mass'"),
+], ids=["no-mass", "list", "short-mass", "str-mass", "nan-mass", "inf-mass", "bool-mass"])
 def test_gen_data_rejects_malformed_table_file(tmp_path, capsys, payload, field):
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps(payload))
@@ -353,8 +356,11 @@ def test_eval_rejects_empty_samples(tmp_path):
     ({"kind": "product", "d": 2, "probs": ["a", 0.5]}, "'probs'"),
     ({"kind": "table", "d": 2, "mass": [0.5, 0.5]}, "'mass'"),
     ({"kind": "table", "d": 2}, "'mass'"),
+    ({"kind": "product", "d": 2, "probs": [True, 0.5]}, "'probs'"),
+    ({"kind": "table", "d": 2, "mass": [float("nan"), 0.5, 0.25, 0.25]}, "'mass'"),
+    ({"kind": "table", "d": 1, "mass": [False, True]}, "'mass'"),
 ], ids=["list", "no-kind", "bad-kind", "no-d", "str-d", "short-probs", "str-prob",
-        "short-mass", "no-mass"])
+        "short-mass", "no-mass", "bool-prob", "nan-mass", "bool-mass"])
 def test_eval_rejects_malformed_dataset(tmp_path, capsys, payload, field):
     samples = tmp_path / "samples.txt"
     fd.write_samples(samples, np.zeros((3, 2), dtype=np.int8), {})

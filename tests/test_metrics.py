@@ -304,6 +304,34 @@ def test_exact_backward_marginal_conserves_mass():
     assert abs(out.mass.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_exact_reverse_law_product_matches_dense(d):
+    probs = np.random.default_rng(50 + d).uniform(0.02, 0.98, d)
+    product = fd.ProductBernoulli(probs)
+    for t_f in (0.05, 0.25, 3.0, 50.0):
+        nu_p = fd.exact_reverse_law(product, LAM, t_f)
+        nu_d = fd.exact_reverse_law(product.to_table(), LAM, t_f)
+        assert isinstance(nu_p, fd.ProductBernoulli)
+        assert np.abs(nu_p.to_table().mass - nu_d.mass).max() < 1e-12
+
+
+def test_exact_reverse_law_matches_kernel_sum():
+    """nu(x) = mu*(x) sum_y p_{t_f}(x, y) pi(y) / mu_{t_f}(y), term by term
+    from the forward kernel; uniform data is a fixed point, and t_f must be
+    positive."""
+    mu = random_table(3, 51)
+    t_f = 0.4
+    states = fd.all_states(3)
+    K = np.array([[fd.kernel(x, y, t_f, LAM) for y in states] for x in states])
+    mu_tf = mu.mass @ K
+    assert np.allclose(fd.exact_reverse_law(mu, LAM, t_f).mass,
+                       mu.mass * (K @ (1 / 8 / mu_tf)), atol=1e-14)
+    assert np.allclose(fd.exact_reverse_law(fd.uniform_table(3), LAM, t_f).mass, 1 / 8,
+                       atol=1e-15)
+    with pytest.raises(ValueError, match="t_f"):
+        fd.exact_reverse_law(mu, LAM, 0.0)
+
+
 def test_kl_bound_holds_on_instance_and_k_refinement():
     mu = random_table(3, 11)
     t_f = 4.0

@@ -1,6 +1,8 @@
 """Backward samplers: fixed points, law recovery, cross-sampler agreement,
 grid contracts, and dump I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,21 +212,17 @@ def test_continuous_thinning_proposal_count():
     """Proposals are scored at per-chain times inside (0, t_f), one row each.
     The squeeze accepts a proposal unscored with probability floor/R, so the
     scored ones per chain are Poisson with mean the integral of d*(R - floor)
-    over the windows: R = lam*coth(lam*u) at each window's smallest forward
-    time u, floored at T_MIN, less floor = lam*tanh(lam*u), whose integral
-    over [0, t_f] is ln cosh(lam*t_f)."""
+    over [0, t_f]: R = lam*coth(lam*max(u, T_MIN)) integrates to
+    ln sinh(lam*t_f) - ln sinh(lam*T_MIN) + lam*T_MIN*coth(lam*T_MIN), and
+    floor = lam*tanh(lam*u) to ln cosh(lam*t_f)."""
     n, t_f, d = 400, 3.0, 3
     src = RowsOnlyScoreSource(exact_src(fd.sawtooth_params(d), t_f))
     fd.sample_continuous_batch(src, n, np.random.default_rng(32))
     times = np.concatenate(src.times)
     assert ((times > 0.0) & (times < t_f)).all()
-    u_edges = [t_f]
-    while u_edges[-1] / 2 > fd.T_MIN:
-        u_edges.append(u_edges[-1] / 2)
-    u_edges += [fd.T_MIN, 0.0]
-    expected = sum(d * LAM / np.tanh(LAM * max(lo, fd.T_MIN)) * (hi - lo)
-                   for hi, lo in zip(u_edges, u_edges[1:]))
-    expected -= d * np.log(np.cosh(LAM * t_f))
+    z_f, z_min = LAM * t_f, LAM * fd.T_MIN
+    expected = d * (np.log(np.sinh(z_f)) - np.log(np.sinh(z_min)) + z_min / np.tanh(z_min))
+    expected -= d * np.log(np.cosh(z_f))
     mean = times.size / n
     assert abs(mean - expected) < 3 * np.sqrt(expected / n)
 
@@ -410,36 +408,60 @@ def test_continuous_rejects_rates_above_thinning_bound():
         fd.sample_continuous_batch(src, 200, np.random.default_rng(38))
 
 
+def reverse_law_sources():
+    dense = np.random.default_rng(43).uniform(0.05, 1.0, 8)
+    return {"dense-d3": fd.DenseTable.normalized(dense),
+            "product-d3": fd.ProductBernoulli([0.1, 0.6, 0.85])}
+
+
+@pytest.mark.parametrize("t_f", [0.25, 3.0])
+@pytest.mark.parametrize("name", ["dense-d3", "product-d3"])
+def test_continuous_matches_exact_reverse_law(name, t_f):
+    """Thinning is exact, so its output follows the reverse law nu started
+    from uniform, not the data law. At t_f = 0.25 the two are far apart and
+    the same counts reject mu*."""
+    dist = reverse_law_sources()[name]
+    n = 40_000
+    states = fd.sample_continuous_batch(exact_src(dist, t_f), n, np.random.default_rng(44))
+    counts = np.bincount(fd.state_indices(states), minlength=8)
+    nu = fd.exact_reverse_law(dist, LAM, t_f).to_table().mass
+    assert chi2_pvalue(counts, nu) > ALPHA_3SIGMA
+    if t_f < 1.0:
+        assert chi2_pvalue(counts, dist.to_table().mass) < ALPHA_3SIGMA
+
+
+def test_continuous_stays_finite_at_large_lam_t_f():
+    """lam*t_f = 800 is past where sinh overflows (710): the proposal times
+    come out finite and warning-free, and the output follows nu."""
+    dist, t_f, n = fd.ProductBernoulli([0.3]), 800.0, 4000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = fd.sample_continuous_batch(exact_src(dist, t_f), n, np.random.default_rng(45))
+        nu = fd.exact_reverse_law(dist, LAM, t_f).to_table().mass
+    counts = np.bincount(fd.state_indices(states), minlength=2)
+    assert chi2_pvalue(counts, nu) > ALPHA_3SIGMA
+
+
 def unsqueezed_continuous(src, n, rng):
-    """The thinning loop without the squeeze: every proposal is scored and
-    flips with probability rate/R. The reference the sampler must equal."""
-    lam, d = src.lam, src.d
-    edges = fd.samplers._thinning_windows(src.t_f)
-    a_coef, b_coef = fd.score._affine_coeffs(edges[1:], src.lam, src.t_f)
-    bound = lam * (1.0 - a_coef + b_coef)
+    """The thinning loop without the squeeze: every proposal on the envelope
+    is scored and flips with probability rate/R. The reference the sampler
+    must equal."""
+    lam, d, t_f = src.lam, src.d, src.t_f
     X = rng.integers(0, 2, size=(n, d), dtype=np.int8)
     jumps = np.zeros(n, dtype=np.int64)
-    t = np.zeros(n)
-    window = np.zeros(n, dtype=np.int64)
-    live = np.arange(n)
+    live, u = np.arange(n), np.full(n, t_f)
     while live.size:
-        r = bound[window[live]]
-        t_next = t[live] + rng.exponential(size=live.size) / (d * r)
-        passed = t_next >= edges[window[live] + 1]
-        moved = live[passed]
-        t[moved] = edges[window[moved] + 1]
-        window[moved] += 1
-        prop, r = live[~passed], r[~passed]
-        if prop.size:
-            t[prop] = t_next[~passed]
-            coords = rng.integers(0, d, size=prop.size)
-            rates = lam * (1.0 - src.score_rows(t[prop], X[prop]))
-            ratio = np.maximum(rates, 0.0)[np.arange(prop.size), coords] / r
-            assert (ratio <= 1.0 + fd.score.RATE_TOL).all()
-            flip = rng.random(prop.size) < ratio
-            X[prop[flip], coords[flip]] ^= 1
-            jumps[prop[flip]] += 1
-        live = live[window[live] < edges.size - 1]
+        t = t_f - fd.samplers._next_proposal(u, rng.exponential(size=live.size), d, lam, lam)
+        live, t = live[t < t_f], t[t < t_f]
+        u = t_f - t
+        coords = rng.integers(0, d, size=live.size)
+        rates = lam * (1.0 - src.score_rows(t, X[live]))
+        bound = lam / np.tanh(lam * np.maximum(u, fd.T_MIN))
+        ratio = np.maximum(rates, 0.0)[np.arange(live.size), coords] / bound
+        assert (ratio <= 1.0 + fd.score.RATE_TOL).all()
+        flip = rng.random(live.size) < ratio
+        X[live[flip], coords[flip]] ^= 1
+        jumps[live[flip]] += 1
     return X, jumps
 
 

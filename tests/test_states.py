@@ -119,6 +119,14 @@ def test_dense_table_mass_validation():
         fd.DenseTable(np.array([1.2, -0.2]))
 
 
+@pytest.mark.parametrize("mass", [[np.nan, 1.0, 0.0, 0.0], [np.inf, 1.0]])
+def test_dense_table_rejects_non_finite_mass(mass):
+    with pytest.raises(ValueError, match="finite"):
+        fd.DenseTable(np.array(mass))
+    with pytest.raises(ValueError, match="finite"):
+        fd.DenseTable.normalized(mass)
+
+
 def test_sample_extreme_bit_frequency():
     dist = fd.ProductBernoulli([0.999, 0.5])
     draws = dist.sample(10_000, np.random.default_rng(0))
