@@ -1,5 +1,6 @@
 """Print one sha256 per seeded output of the samplers, the exact backward
-marginal, the exact reverse law, the validate-bounds report, the sliced Wasserstein metric, a
+marginal, the exact reverse law, the validate-bounds report with and without
+``--corrupt 0.05`` (the shifted score source), the sliced Wasserstein metric, a
 sample dump's bytes and read-back, the exact dense denoiser and score,
 ``propagate_mass`` at d=8, three samplers on a d=8 learned source, two
 training runs, single-chain discretized draws, and ``distinct_rows`` on
@@ -13,7 +14,7 @@ change meant to be exact can be checked with one diff:
     diff before.txt after.txt
 
 BLAS is pinned to one thread, since the thread count can change the last bit
-of a matrix product. Runs in about twenty seconds on one core.
+of a matrix product. Runs in about thirty seconds on one core.
 """
 
 from __future__ import annotations
@@ -93,12 +94,15 @@ def main() -> int:
     nu_dense = fd.exact_reverse_law(srcs["exact-dense-d4"].dist, LAM, T_F)
     lines.append(f"exact_reverse_law {digest(nu_product.probs, nu_dense.mass)}")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["validate-bounds", "--config",
-                             str(ROOT / "scripts/configs/bounds_sweep.yaml"), "--out", tmp])
-        report = (Path(tmp) / "bound_report.csv").read_bytes()
-        lines.append(f"validate-bounds/exit={code} {hashlib.sha256(report).hexdigest()}")
+    for corrupt in ([], ["--corrupt", "0.05"]):
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(["validate-bounds", "--config",
+                                 str(ROOT / "scripts/configs/bounds_sweep.yaml"), "--out", tmp,
+                                 *corrupt])
+            report = (Path(tmp) / "bound_report.csv").read_bytes()
+            tag = "/corrupt=0.05" if corrupt else ""
+            lines.append(f"validate-bounds{tag}/exit={code} {hashlib.sha256(report).hexdigest()}")
 
     data_rng = np.random.default_rng(5)
     a = fd.EmpiricalSet(data_rng.integers(0, 2, size=(2000, 8), dtype=np.int8))

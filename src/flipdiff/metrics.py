@@ -1,6 +1,6 @@
 """Divergences, the sliced Wasserstein metric, convergence-bound calculators,
 step planners, and exact marginal propagation of the discretized backward
-chain for ground-truth KL measurements on small d.
+chain, its grid scored in blocks of steps, for ground-truth KL on small d.
 
 Total variation follows the integral-of-|density-difference| convention, so
 it ranges over [0, 2] (twice the more common sup-of-events normalization).
@@ -13,15 +13,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, EnumerationLimitError, PlanningError
+from .errors import AssumptionViolationError, EnumerationLimitError, FlipdiffError, PlanningError
 from .forward import alpha, propagate_mass
-from .samplers import _rate_rows, sample_discretized_batch
+from .samplers import sample_discretized_batch
 from .schedules import TimeSchedule
+from .score import _check_rates
 from .states import (DenseTable, Distribution, EmpiricalSet, ProductBernoulli, all_states,
                      distinct_rows, flip_index, index_to_state)
 
 UNIFORMIZATION_TAIL = 1e-14
 EXACT_BACKWARD_LIMIT = 10  # generator is 2^d x 2^d
+EXACT_BACKWARD_BLOCK_ROWS = 1 << EXACT_BACKWARD_LIMIT  # (time, state) rows scored per call
 SWD_CHUNK_ELEMENTS = 1 << 20  # projected values held in memory at once
 
 
@@ -273,21 +275,32 @@ def exact_backward_marginal(src, schedule: TimeSchedule, lam: float) -> DenseTab
     time (the object the KL convergence bound speaks about).
 
     Starts from the uniform distribution and propagates the full 2^d vector
-    by uniformization, so d is capped at EXACT_BACKWARD_LIMIT. The rates are
-    validated as the samplers validate them: a non-finite rate raises
-    SamplerError and a negative one InvalidScoreError.
+    by uniformization, so d is capped at EXACT_BACKWARD_LIMIT. The grid's
+    (time, state) rows go through ``score_rows`` in blocks of whole steps, at
+    most EXACT_BACKWARD_BLOCK_ROWS rows (one step if 2^d is more), and each
+    block's rates are validated as the samplers validate them: a non-finite
+    rate raises SamplerError and a negative one InvalidScoreError, naming the
+    first bad grid time.
     """
     d = src.d
     if d > EXACT_BACKWARD_LIMIT:
         raise EnumerationLimitError(
             f"exact backward propagation needs a 2^{d} generator; "
             f"refusing d > {EXACT_BACKWARD_LIMIT}")
-    mass = np.full(1 << d, 1.0 / (1 << d))
-    states = all_states(d)
-    grid = schedule.grid
-    for k in range(schedule.n_steps):
-        rates = _rate_rows(src, grid[k], states, lam)
-        mass = _uniformized_step(mass, rates, grid[k + 1] - grid[k])
+    size, states, grid, n_steps = 1 << d, all_states(d), schedule.grid, schedule.n_steps
+    mass = np.full(size, 1.0 / size)
+    n_blocks = -(-n_steps // max(1, EXACT_BACKWARD_BLOCK_ROWS // size))
+    for ks in np.array_split(np.arange(n_steps), n_blocks):
+        scores = src.score_rows(np.repeat(grid[ks], size), np.tile(states, (ks.size, 1)))
+        rates = (lam * (1.0 - scores)).reshape(ks.size, size, d)
+        try:
+            rates = _check_rates(rates, lam)
+        except FlipdiffError:  # re-check step by step to name the first bad time
+            for k, step in zip(ks, rates):
+                _check_rates(step, lam, grid[k])
+            raise
+        for k, step in zip(ks, rates):
+            mass = _uniformized_step(mass, step, grid[k + 1] - grid[k])
     return DenseTable(mass)
 
 

@@ -23,7 +23,8 @@ generator, so output sets are deterministic given (seed, n); one chain is
 n = 1. The continuous sampler scores proposals at per-chain times
 (``score_rows``); the others query one time per call (``score_batch``). The
 discretized and flip-schedule samplers share one clock loop on the score
-held per grid interval; the single-chain ``sample_flip_schedule`` runs it
+held per grid interval; it and the per-coordinate loop update their per-step
+arrays in place. The single-chain ``sample_flip_schedule`` runs the loop
 with a sequential without-replacement draw, the reference the batch form's
 exponential races are tested against.
 """
@@ -145,11 +146,15 @@ class ExactScoreSource:
         if not isinstance(self.dist, ProductBernoulli):
             return self._dense_score(u, X)
         # entry (c, b) is the score of coordinate c reading bit b, from the
-        # same arithmetic as score_rows
+        # same arithmetic as score_rows; each column takes its entries by
+        # the rows' bits, with no n x d integer index
         _, q1 = self._product_marginal(u)
         p = np.stack([1.0 - q1, q1], axis=1)
         table = 1.0 - (1.0 - p) / p
-        return table.ravel()[np.arange(0, 2 * self.d, 2) + (X == 1)]
+        out = np.empty(X.shape)
+        for col, bit in enumerate((X == 1).view(np.uint8).T):
+            out[:, col] = table[col].take(bit)
+        return out
 
     def denoiser_batch(self, t: float, X) -> np.ndarray:
         return self.denoiser_rows(np.full(np.asarray(X).shape[0], t), X)
@@ -254,19 +259,24 @@ class ShiftedScoreSource:
 
 
 def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
-    """Backward flip rates lam*(1 - s) for a batch, validated by ``_check_rates``."""
-    return _check_rates(lam * (1.0 - src.score_batch(t, X)), lam, t)
+    """Backward flip rates lam*(1 - s) for a batch, computed in place in the
+    fresh array ``score_batch`` returns and validated by ``_check_rates``."""
+    rates = src.score_batch(t, X)
+    np.subtract(1.0, rates, out=rates)
+    return _check_rates(np.multiply(rates, lam, out=rates), lam, t)
 
 
-def _row_totals(rates: np.ndarray) -> np.ndarray:
-    """Row sums of an (n, d) rate array, adding the columns left to right.
+def _row_totals(rates: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of an (n, d) rate array, adding the columns left to right,
+    into ``out`` if given.
 
     numpy reduces a short last axis one row at a time, which costs far more
     than d column adds. For d < 8 numpy also adds left to right, so the sums
     are the same bits; from d = 8 on it adds in pairwise blocks of 8, and a
     total can differ from ``rates.sum(1)`` in the last bits.
     """
-    total = rates[:, 0].copy()
+    total = np.empty(rates.shape[0], rates.dtype) if out is None else out
+    np.copyto(total, rates[:, 0])
     for col in range(1, rates.shape[1]):
         total += rates[:, col]
     return total
@@ -397,23 +407,27 @@ def sample_percoord_batch(src, n: int, rng: np.random.Generator,
     hi = _rate_rows(src, 0.0, X, lam)
     acc = np.zeros((n, d))
     thresh = rng.exponential(size=(n, d))
+    # the loop's per-step arrays, updated in place
+    inc, reached, crossing = np.empty((n, d)), np.empty((n, d)), np.empty((n, d), dtype=bool)
     t = 0.0
     while t < t_end * (1.0 - 1e-15):
         b = min(t + h, t_end)
         # the crossing passes leave hi equal to the rates at (b, X), so the
         # last step's end is this step's start
         lo, hi = hi, _rate_rows(src, b, X, lam)
-        seg_start = np.full(n, t)
-        inc = 0.5 * (lo + hi) * (b - t)
-        crossing = (acc + inc >= thresh) & (inc > 0)
+        np.add(lo, hi, out=inc)
+        inc *= 0.5
+        inc *= b - t
+        np.greater_equal(np.add(acc, inc, out=reached), thresh, out=crossing)
+        crossing &= inc > 0
         idx = np.unique(np.flatnonzero(crossing) // d)
         live = crossing[idx]
+        start = np.full((idx.size, 1), t)  # the crossing rows' segment starts
         for _ in range(_MAX_PASSES):
             if idx.size == 0:
                 break
             frac = np.divide(thresh[idx] - acc[idx], inc[idx], where=live,
                              out=np.full((idx.size, d), np.inf))
-            start = seg_start[idx][:, None]
             t_cross = start + frac * (b - start)
             coords = np.argmin(t_cross, axis=1)
             t_star = t_cross[np.arange(coords.size), coords]
@@ -425,14 +439,13 @@ def sample_percoord_batch(src, n: int, rng: np.random.Generator,
             # held at its end-of-step value (O(h) bias, h is tiny)
             r_new = _rate_rows(src, b, X[idx], lam)
             hi[idx] = r_new
-            seg_start[idx] = t_star
             inc_new = r_new * (b - t_star)[:, None]
             inc[idx] = inc_new
             # only the rows that just jumped changed, so only they can cross
             # again, and their accumulators are zero
             live = (inc_new >= thresh_new) & (inc_new > 0)
             again = live.any(axis=1)
-            idx, live = idx[again], live[again]
+            idx, live, start = idx[again], live[again], t_star[again, None]
         else:
             raise SamplerError(f"crossing resolution did not settle at t={t!r}")
         acc += inc
@@ -451,14 +464,15 @@ def _clock_loop(src, schedule: TimeSchedule, lam: float, n: int, rng: np.random.
     X = _uniform_start(n, src.d, rng)
     accum = np.zeros(n)
     thresh = rng.exponential(size=n)
+    total, step = np.empty(n), np.empty(n)  # per-step arrays, updated in place
     grid = schedule.grid
     recorded = []
     for k in range(schedule.n_steps):
         if record_grid:
             recorded.append(X.copy())
         rates = _rate_rows(src, grid[k], X, lam)
-        total = _row_totals(rates)
-        accum += total * (grid[k + 1] - grid[k])
+        _row_totals(rates, out=total)
+        accum += np.multiply(total, grid[k + 1] - grid[k], out=step)
         crossed = (accum > thresh) & (total > 0)
         if crossed.any():
             idx = np.flatnonzero(crossed)

@@ -2,6 +2,7 @@
 planners, and exact backward propagation."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -315,6 +316,74 @@ def test_exact_reverse_law_product_matches_dense(d):
         assert np.abs(nu_p.to_table().mass - nu_d.mass).max() < 1e-12
 
 
+def test_exact_backward_marginal_first_order_in_k():
+    """On a linear grid the frozen-generator law approaches the reverse law
+    nu at first order in the step: ten times the steps, about a tenth of the
+    TV (1.8e-2 and 1.8e-3 on sawtooth d=3)."""
+    dist, t_f = fd.sawtooth_params(3), 3.0
+    src = fd.ExactScoreSource(dist, LAM, t_f)
+    nu = fd.exact_reverse_law(dist, LAM, t_f).to_table()
+    tv = {k: fd.tv_distance(fd.exact_backward_marginal(src, fd.time_grid("linear", k, t_f), LAM),
+                            nu) for k in (400, 4000)}
+    assert 5.0 < tv[400] / tv[4000] < 20.0, tv
+
+
+def per_step_backward_marginal(src, schedule, lam):
+    """exact_backward_marginal with one score_batch call and one rate check
+    per grid step: the reference the blocked form must equal bit for bit."""
+    d = src.d
+    mass = np.full(1 << d, 1.0 / (1 << d))
+    states = fd.all_states(d)
+    grid = schedule.grid
+    for k in range(schedule.n_steps):
+        rates = fd.score._check_rates(lam * (1.0 - src.score_batch(grid[k], states)), lam, grid[k])
+        mass = fd.metrics._uniformized_step(mass, rates, grid[k + 1] - grid[k])
+    return fd.DenseTable(mass)
+
+
+def blocked_marginal_sources():
+    for d in (2, 3, 4, 6, 8):
+        yield f"dense-d{d}", fd.ExactScoreSource(random_table(d, 60 + d), LAM, 3.0)
+    product = fd.ExactScoreSource(fd.ProductBernoulli([0.1, 0.5, 0.85]), LAM, 3.0)
+    yield "product-d3", product
+    yield "shifted-d3", fd.ShiftedScoreSource(fd.ExactScoreSource(random_table(3, 66), LAM, 3.0),
+                                              0.05)
+
+
+class RowCountingSource:
+    """Wrapper that records the row count of every score_rows call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def score_rows(self, ts, X):
+        self.rows.append(len(ts))
+        return self.inner.score_rows(ts, X)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3, 40])
+def test_blocked_marginal_matches_per_step_scoring(block_rows, monkeypatch):
+    """Whole-grid scoring in blocks of any size gives the per-step law's bits;
+    3 rows makes every block one step, 40 rows ragged blocks of several. No
+    call scores more rows than the cap, or than one step where that is more."""
+    if block_rows is not None:
+        monkeypatch.setattr(fd.metrics, "EXACT_BACKWARD_BLOCK_ROWS", block_rows)
+    cap = fd.metrics.EXACT_BACKWARD_BLOCK_ROWS
+    for name, src in blocked_marginal_sources():
+        for kind in ("linear", "cosine"):
+            sch = fd.time_grid(kind, 37, 3.0)
+            counted = RowCountingSource(src)
+            out = fd.exact_backward_marginal(counted, sch, LAM)
+            ref = per_step_backward_marginal(src, sch, LAM)
+            assert out.mass.tobytes() == ref.mass.tobytes(), (name, kind)
+            assert sum(counted.rows) == 37 << src.d
+            assert max(counted.rows) <= max(cap, 1 << src.d)
+
+
 def test_exact_reverse_law_matches_kernel_sum():
     """nu(x) = mu*(x) sum_y p_{t_f}(x, y) pi(y) / mu_{t_f}(y), term by term
     from the forward kernel; uniform data is a fixed point, and t_f must be
@@ -395,18 +464,29 @@ def test_exact_backward_marginal_dimension_guard():
 
 
 class InjectedScoreSource:
-    """Wraps a source and overwrites one score entry at every query."""
+    """Wraps a source and overwrites one score entry at every query, from
+    backward time ``t_from`` on: row 1, coordinate 0 of each grid step, both
+    for a one-time query and for the stacked steps of a per-row-time one."""
 
-    def __init__(self, inner, value):
+    def __init__(self, inner, value, t_from=0.0):
         self.inner = inner
         self.value = value
+        self.t_from = t_from
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def score_batch(self, t, X):
         out = self.inner.score_batch(t, X).copy()
-        out[1, 0] = self.value
+        if t >= self.t_from:
+            out[1, 0] = self.value
+        return out
+
+    def score_rows(self, ts, X):
+        out = self.inner.score_rows(ts, X).copy()
+        rows = np.arange(1, len(ts), 1 << self.inner.d)  # row 1 of each 2^d-row step
+        rows = rows[np.asarray(ts)[rows] >= self.t_from]
+        out[rows, 0] = self.value
         return out
 
 
@@ -415,10 +495,25 @@ def test_exact_backward_marginal_rejects_bad_rates():
     sch = fd.time_grid("linear", 5, 3.0)
     # a NaN score, and a -inf score (a rate of +inf), used to give an all-NaN law
     for value in (np.nan, -np.inf):
-        with pytest.raises(fd.SamplerError):
+        with pytest.raises(fd.SamplerError, match="t="):
             fd.exact_backward_marginal(InjectedScoreSource(src, value), sch, LAM)
-    with pytest.raises(fd.InvalidScoreError):  # a rate of -1e-3 * lam
+    with pytest.raises(fd.InvalidScoreError, match="t="):  # a rate of -1e-3 * lam
         fd.exact_backward_marginal(InjectedScoreSource(src, 1.0 + 1e-3), sch, LAM)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3, 40])
+def test_exact_backward_marginal_names_first_bad_grid_time(block_rows, monkeypatch):
+    """Rates go bad from the 13th of 20 grid times on, a NaN later than a
+    negative rate: the error is the negative rate's, at the 13th time, in
+    one block or spread over several."""
+    if block_rows is not None:
+        monkeypatch.setattr(fd.metrics, "EXACT_BACKWARD_BLOCK_ROWS", block_rows)
+    src = fd.ExactScoreSource(random_table(3, 16), LAM, 3.0)
+    sch = fd.time_grid("linear", 20, 3.0)
+    bad = InjectedScoreSource(InjectedScoreSource(src, 1.0 + 1e-3, sch.grid[12]), np.nan,
+                              sch.grid[15])
+    with pytest.raises(fd.InvalidScoreError, match=re.escape(f"t={sch.grid[12]!r}")):
+        fd.exact_backward_marginal(bad, sch, LAM)
 
 
 def bincount_uniformized_step(mass, rates, h, tail=fd.metrics.UNIFORMIZATION_TAIL):

@@ -430,6 +430,21 @@ def test_continuous_matches_exact_reverse_law(name, t_f):
         assert chi2_pvalue(counts, dist.to_table().mass) < ALPHA_3SIGMA
 
 
+@pytest.mark.parametrize("t_f", [0.25, 3.0])
+@pytest.mark.parametrize("name", ["dense-d3", "product-d3"])
+def test_percoord_matches_exact_reverse_law(name, t_f):
+    """The per-coordinate clocks follow nu too, within the Monte-Carlo noise
+    of these counts; their O(h) quadrature bias is below it."""
+    dist = reverse_law_sources()[name]
+    n = 20_000
+    states = fd.sample_percoord_batch(exact_src(dist, t_f), n, np.random.default_rng(50))
+    counts = np.bincount(fd.state_indices(states), minlength=8)
+    nu = fd.exact_reverse_law(dist, LAM, t_f).to_table().mass
+    assert chi2_pvalue(counts, nu) > ALPHA_3SIGMA
+    if t_f < 1.0:
+        assert chi2_pvalue(counts, dist.to_table().mass) < ALPHA_3SIGMA
+
+
 def test_continuous_stays_finite_at_large_lam_t_f():
     """lam*t_f = 800 is past where sinh overflows (710): the proposal times
     come out finite and warning-free, and the output follows nu."""
@@ -486,6 +501,95 @@ def test_continuous_squeeze_matches_unsqueezed_loop(name):
                                           return_jump_counts=True)
     X_ref, jumps_ref = unsqueezed_continuous(src, n, np.random.default_rng(41))
     assert (X == X_ref).all() and (jumps == jumps_ref).all()
+
+
+def allocating_rate_rows(src, t, X, lam):
+    return fd.score._check_rates(lam * (1.0 - src.score_batch(t, X)), lam, t)
+
+
+def allocating_percoord(src, n, rng):
+    """The per-coordinate sampler with fresh arrays at every micro step and
+    segment starts kept for all rows: the reference the in-place loop must
+    equal."""
+    lam, d, t_end = src.lam, src.d, src.t_f
+    h = fd.samplers.MICRO_STEP_SCALE * t_end
+    X = rng.integers(0, 2, size=(n, d), dtype=np.int8)
+    hi = allocating_rate_rows(src, 0.0, X, lam)
+    acc = np.zeros((n, d))
+    thresh = rng.exponential(size=(n, d))
+    t = 0.0
+    while t < t_end * (1.0 - 1e-15):
+        b = min(t + h, t_end)
+        lo, hi = hi, allocating_rate_rows(src, b, X, lam)
+        seg_start = np.full(n, t)
+        inc = 0.5 * (lo + hi) * (b - t)
+        crossing = (acc + inc >= thresh) & (inc > 0)
+        idx = np.unique(np.flatnonzero(crossing) // d)
+        live = crossing[idx]
+        while idx.size:
+            frac = np.divide(thresh[idx] - acc[idx], inc[idx], where=live,
+                             out=np.full((idx.size, d), np.inf))
+            start = seg_start[idx][:, None]
+            t_cross = start + frac * (b - start)
+            coords = np.argmin(t_cross, axis=1)
+            t_star = t_cross[np.arange(coords.size), coords]
+            X[idx, coords] ^= 1
+            acc[idx] = 0.0
+            thresh_new = rng.exponential(size=(idx.size, d))
+            thresh[idx] = thresh_new
+            r_new = allocating_rate_rows(src, b, X[idx], lam)
+            hi[idx] = r_new
+            seg_start[idx] = t_star
+            inc_new = r_new * (b - t_star)[:, None]
+            inc[idx] = inc_new
+            live = (inc_new >= thresh_new) & (inc_new > 0)
+            again = live.any(axis=1)
+            idx, live = idx[again], live[again]
+        acc += inc
+        t = b
+    return X
+
+
+def allocating_discretized(src, schedule, n, rng):
+    """The discretized sampler's clock loop with fresh arrays at every grid
+    step: the reference the in-place loop must equal."""
+    lam = src.lam
+    X = rng.integers(0, 2, size=(n, src.d), dtype=np.int8)
+    accum = np.zeros(n)
+    thresh = rng.exponential(size=n)
+    grid = schedule.grid
+    for k in range(schedule.n_steps):
+        rates = allocating_rate_rows(src, grid[k], X, lam)
+        total = rates[:, 0].copy()
+        for col in range(1, src.d):
+            total += rates[:, col]
+        accum += total * (grid[k + 1] - grid[k])
+        crossed = (accum > thresh) & (total > 0)
+        if crossed.any():
+            idx = np.flatnonzero(crossed)
+            X[idx, fd.samplers._categorical_rows(rates[idx], rng)] ^= 1
+            accum[idx] = 0.0
+            thresh[idx] = rng.exponential(size=idx.size)
+    return X
+
+
+@pytest.mark.parametrize("name", ["product-d3", "dense-d4", "learned-d6"])
+def test_in_place_loops_match_allocating_references(name):
+    """The per-coordinate and discretized samplers reuse their per-step
+    arrays; their states equal the allocating loops' bit for bit."""
+    dense = np.random.default_rng(46).uniform(0.05, 1.0, 16)
+    cfg = fd.ModelConfig(d=6, blocks=1, width=32, time_embed_dim=16, seed=3)
+    params = fd.init_params(cfg) + np.random.default_rng(47).normal(0.0, 0.3, fd.param_count(cfg))
+    src = {"product-d3": exact_src(fd.ProductBernoulli([0.1, 0.5, 0.85])),
+           "dense-d4": exact_src(fd.DenseTable.normalized(dense)),
+           "learned-d6": fd.LearnedScoreSource(params, cfg, LAM, 3.0)}[name]
+    n = 300 if src.kind == "learned" else 2000
+    sch = fd.time_grid("cosine", 40, 3.0)
+    out = fd.sample_percoord_batch(src, n, np.random.default_rng(48))
+    assert out.tobytes() == allocating_percoord(src, n, np.random.default_rng(48)).tobytes()
+    out = fd.sample_discretized_batch(src, sch, LAM, n, np.random.default_rng(49))
+    ref = allocating_discretized(src, sch, n, np.random.default_rng(49))
+    assert out.tobytes() == ref.tobytes()
 
 
 class HalfFloorScoreSource:
