@@ -5,12 +5,14 @@ time from 0 to the schedule horizon, driven by a score source:
 
 - ``sample_continuous_batch``: exact thinning: proposals from a Poisson
   clock on the envelope d*R(u), R = lam*coth(lam*u) in forward time u,
-  drawn by inverting the envelope's integral in closed form, each accepted
-  with probability rate/R; those whose acceptance uniform falls below
-  lam*tanh(lam*u)/R, which every valid rate reaches, flip unscored,
-- ``sample_percoord_batch``: one exponential clock per coordinate with the
-  rates integrated by trapezoid micro steps, an independent quadrature check
-  of the thinning sampler,
+  drawn by inverting the envelope's integral in closed form, each on a
+  uniform coordinate and accepted with probability rate/R; those whose
+  acceptance uniform falls below lam*tanh(lam*u)/R, which every valid rate
+  reaches, flip unscored,
+- ``sample_percoord_batch``: exact thinning with one Poisson clock on R(u)
+  per coordinate; each chain takes its earliest pending proposal and
+  redraws only that clock. Both continuous-time samplers accept through one
+  step (``_thinning_flips``),
 - ``sample_discretized_batch``: piecewise-constant score with a carried rate
   accumulator; at most one flip per grid interval,
 - ``sample_flip_schedule_batch``: as above but flipping a scheduled number
@@ -20,11 +22,11 @@ time from 0 to the schedule horizon, driven by a score source:
 
 Every sampler runs n chains at once and draws all randomness from one
 generator, so output sets are deterministic given (seed, n); one chain is
-n = 1. The continuous sampler scores proposals at per-chain times
+n = 1. The continuous-time samplers score proposals at per-chain times
 (``score_rows``); the others query one time per call (``score_batch``). The
 discretized and flip-schedule samplers share one clock loop on the score
-held per grid interval; it and the per-coordinate loop update their per-step
-arrays in place. The single-chain ``sample_flip_schedule`` runs the loop
+held per grid interval, which updates its per-step arrays in place. The
+single-chain ``sample_flip_schedule`` runs the loop
 with a sequential without-replacement draw, the reference the batch form's
 exponential races are tested against.
 """
@@ -43,9 +45,6 @@ from .schedules import FlipSchedule, TimeSchedule
 from .score import RATE_TOL, T_MIN, _check_rates, denoiser_from_score, score_from_denoiser
 from .states import (Distribution, EmpiricalSet, ProductBernoulli, distinct_rows, flip_index,
                      state_indices)
-
-MICRO_STEP_SCALE = 1e-3  # per-coordinate sampler's quadrature step, a fraction of the horizon
-_MAX_PASSES = 100_000
 
 
 class ExactScoreSource:
@@ -339,23 +338,55 @@ def _next_proposal(u, e, d: int, lam: float, lam_s: float) -> np.ndarray:
     return np.where(y > y_min, v, below)
 
 
+def _thinning_flips(src, X, rows, t, coords, accept, lam: float) -> np.ndarray:
+    """Thinning's acceptance step: proposals to flip coordinate ``coords`` of
+    chain ``rows`` of ``X`` at backward time ``t``, each with its acceptance
+    uniform U. Flips the accepted ones in ``X`` and returns their mask.
+
+    Every backward rate lam*(1 - s) lies between the floor lam*(1 - a_coef) =
+    lam*tanh(lam_s*u) and the envelope R = lam*(1 - a_coef + b_coef) =
+    lam*coth(lam_s*u) at forward time u = t_f - t, since s = a_coef - b_coef*d
+    with d in [0, 1] (lam_s = src.lam; the coefficients clamp u at T_MIN). A
+    proposal with U < floor/R flips unscored (the squeeze, the floor shrunk
+    by RATE_TOL); the rest are scored through one ``score_rows`` call at
+    their own times and flip if U < rate/R. A scored rate above
+    R*(1 + RATE_TOL) or below the floor raises SamplerError. Scoring draws
+    no randomness, so the flips are those of scoring every proposal, bit for
+    bit.
+    """
+    lam_s, t_f = src.lam, src.t_f
+    # R and the floor at u = t_f - t, the forward time the source sees
+    r = lam / np.tanh(lam_s * np.maximum(t_f - t, T_MIN))
+    floor = lam * np.tanh(lam_s * (t_f - t)) * (1.0 - RATE_TOL)
+    flip = accept < floor / r
+    scored = ~flip
+    if scored.any():
+        r, floor, t_scored = r[scored], floor[scored], t[scored]
+        rates = _check_rates(lam * (1.0 - src.score_rows(t_scored, X[rows[scored]])), lam)
+        rate = rates[np.arange(r.size), coords[scored]]
+        ratio = rate / r
+        if (ratio > 1.0 + RATE_TOL).any():
+            worst = int(np.argmax(ratio))
+            raise SamplerError(f"backward rate {rate[worst]!r} exceeds the thinning "
+                               f"bound {r[worst]!r} at t={t_scored[worst]!r}")
+        if (rate < floor).any():
+            worst = int(np.argmax(floor - rate))
+            raise SamplerError(f"backward rate {rate[worst]!r} is below the floor "
+                               f"{floor[worst]!r} at t={t_scored[worst]!r}")
+        flip[scored] = accept[scored] < ratio
+    X[rows[flip], coords[flip]] ^= 1
+    return flip
+
+
 def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | None = None,
                             return_jump_counts: bool = False):
     """Exact continuous-time sampling across n chains by thinning.
 
-    Every backward rate lam*(1 - s) lies between the floor lam*(1 - a_coef) =
-    lam*tanh(lam_s*u) and lam*(1 - a_coef + b_coef) = lam*coth(lam_s*u) at
-    forward time u = t_f - t, since s = a_coef - b_coef*d with d in [0, 1]
-    (lam_s = src.lam; the coefficients clamp u at T_MIN). Each round, every
-    unfinished chain draws its next proposal on the envelope d*R(u), R =
-    lam*coth(lam_s*max(u, T_MIN)), in closed form (``_next_proposal``), then
-    a uniform coordinate and an acceptance uniform U. A proposal with
-    U < floor/R flips unscored (the squeeze, the floor shrunk by RATE_TOL);
-    the rest are scored through one ``score_rows`` call at the chains' own
-    times and flip if U < rate/R. A scored rate above R*(1 + RATE_TOL) or
-    below the floor raises SamplerError. Scoring draws no randomness, so the
-    output equals the unsqueezed loop's bit for bit. Returns the final states
-    and, with ``return_jump_counts``, the flips per chain.
+    Each round, every unfinished chain draws its next proposal on the
+    envelope d*R(u), R = lam*coth(lam_s*max(u, T_MIN)), in closed form
+    (``_next_proposal``), then a uniform coordinate and an acceptance
+    uniform, which ``_thinning_flips`` accepts or not. Returns the
+    final states and, with ``return_jump_counts``, the flips per chain.
     """
     lam = src.lam if lam is None else lam
     d, lam_s, t_f = src.d, src.lam, src.t_f
@@ -366,90 +397,36 @@ def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | 
         t = t_f - _next_proposal(t_f - t, rng.exponential(size=live.size), d, lam, lam_s)
         live, t = live[t < t_f], t[t < t_f]
         coords = rng.integers(0, d, size=live.size)
-        accept = rng.random(live.size)
-        # R and the floor at u = t_f - t, the forward time the source sees
-        r = lam / np.tanh(lam_s * np.maximum(t_f - t, T_MIN))
-        floor = lam * np.tanh(lam_s * (t_f - t)) * (1.0 - RATE_TOL)
-        flip = accept < floor / r
-        scored = ~flip
-        if scored.any():
-            r, floor, t_scored = r[scored], floor[scored], t[scored]
-            rates = _check_rates(lam * (1.0 - src.score_rows(t_scored, X[live[scored]])), lam)
-            rate = rates[np.arange(r.size), coords[scored]]
-            ratio = rate / r
-            if (ratio > 1.0 + RATE_TOL).any():
-                worst = int(np.argmax(ratio))
-                raise SamplerError(f"backward rate {rate[worst]!r} exceeds the thinning "
-                                   f"bound {r[worst]!r} at t={t_scored[worst]!r}")
-            if (rate < floor).any():
-                worst = int(np.argmax(floor - rate))
-                raise SamplerError(f"backward rate {rate[worst]!r} is below the floor "
-                                   f"{floor[worst]!r} at t={t_scored[worst]!r}")
-            flip[scored] = accept[scored] < ratio
-        X[live[flip], coords[flip]] ^= 1
+        flip = _thinning_flips(src, X, live, t, coords, rng.random(live.size), lam)
         jumps[live[flip]] += 1
     return (X, jumps) if return_jump_counts else X
 
 
 def sample_percoord_batch(src, n: int, rng: np.random.Generator,
                           lam: float | None = None) -> np.ndarray:
-    """Per-coordinate clocks across n chains, one exponential clock on each
-    coordinate's own rate, integrated with trapezoid micro steps of
-    ``MICRO_STEP_SCALE * t_f``; the earliest crossing in a step flips its
-    coordinate, at a crossing time linearly interpolated inside the step, and
-    restarts all d clocks of its chain. A quadrature scheme independent of
-    the continuous sampler's thinning, which it cross-checks.
+    """Exact per-coordinate Poisson clocks across n chains.
+
+    Each coordinate proposes on its own envelope R(u) = lam*coth(lam_s*
+    max(u, T_MIN)); every chain holds the forward time of each coordinate's
+    next proposal. Each round, every unfinished chain takes its earliest
+    pending proposal (the largest forward time), which ``_thinning_flips``
+    accepts or not, and redraws only that coordinate's clock from it. The
+    envelope does not depend on the state, so a flip restarts no clock. A
+    chain whose earliest proposal lies past the horizon is done.
     """
     lam = src.lam if lam is None else lam
-    d, t_end = src.d, src.t_f
-    h = MICRO_STEP_SCALE * t_end
+    d, lam_s, t_f = src.d, src.lam, src.t_f
     X = _uniform_start(n, d, rng)
-    hi = _rate_rows(src, 0.0, X, lam)
-    acc = np.zeros((n, d))
-    thresh = rng.exponential(size=(n, d))
-    # the loop's per-step arrays, updated in place
-    inc, reached, crossing = np.empty((n, d)), np.empty((n, d)), np.empty((n, d), dtype=bool)
-    t = 0.0
-    while t < t_end * (1.0 - 1e-15):
-        b = min(t + h, t_end)
-        # the crossing passes leave hi equal to the rates at (b, X), so the
-        # last step's end is this step's start
-        lo, hi = hi, _rate_rows(src, b, X, lam)
-        np.add(lo, hi, out=inc)
-        inc *= 0.5
-        inc *= b - t
-        np.greater_equal(np.add(acc, inc, out=reached), thresh, out=crossing)
-        crossing &= inc > 0
-        idx = np.unique(np.flatnonzero(crossing) // d)
-        live = crossing[idx]
-        start = np.full((idx.size, 1), t)  # the crossing rows' segment starts
-        for _ in range(_MAX_PASSES):
-            if idx.size == 0:
-                break
-            frac = np.divide(thresh[idx] - acc[idx], inc[idx], where=live,
-                             out=np.full((idx.size, d), np.inf))
-            t_cross = start + frac * (b - start)
-            coords = np.argmin(t_cross, axis=1)
-            t_star = t_cross[np.arange(coords.size), coords]
-            X[idx, coords] ^= 1
-            acc[idx] = 0.0
-            thresh_new = rng.exponential(size=(idx.size, d))
-            thresh[idx] = thresh_new
-            # remainder of the micro step with the flipped state; the rate is
-            # held at its end-of-step value (O(h) bias, h is tiny)
-            r_new = _rate_rows(src, b, X[idx], lam)
-            hi[idx] = r_new
-            inc_new = r_new * (b - t_star)[:, None]
-            inc[idx] = inc_new
-            # only the rows that just jumped changed, so only they can cross
-            # again, and their accumulators are zero
-            live = (inc_new >= thresh_new) & (inc_new > 0)
-            again = live.any(axis=1)
-            idx, live, start = idx[again], live[again], t_star[again, None]
-        else:
-            raise SamplerError(f"crossing resolution did not settle at t={t!r}")
-        acc += inc
-        t = b
+    live = np.arange(n)
+    u = _next_proposal(np.full((n, d), t_f), rng.exponential(size=(n, d)), 1, lam, lam_s)
+    while live.size:
+        coords = np.argmax(u, axis=1)
+        t = t_f - u[np.arange(live.size), coords]
+        keep = t < t_f
+        live, u, coords, t = live[keep], u[keep], coords[keep], t[keep]
+        _thinning_flips(src, X, live, t, coords, rng.random(live.size), lam)
+        at = (np.arange(live.size), coords)
+        u[at] = _next_proposal(u[at], rng.exponential(size=live.size), 1, lam, lam_s)
     return X
 
 

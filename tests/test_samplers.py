@@ -145,20 +145,17 @@ def test_learned_source_dedup_keeps_row_order(dtype):
     assert src.score_batch(1.0, empty).shape == (0, 4)
 
 
-class CountingScoreSource:
-    """Wrapper that logs the time and row count of every score_batch call,
-    and every time the score or the denoiser is queried at."""
+class TimeRecordingSource:
+    """Wrapper that logs every time the score or the denoiser is queried at."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls: list[tuple[float, int]] = []
         self.times: set[float] = set()
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def score_batch(self, t, X):
-        self.calls.append((float(t), np.asarray(X).shape[0]))
         self.times.add(float(t))
         return self.inner.score_batch(t, X)
 
@@ -169,26 +166,6 @@ class CountingScoreSource:
     def denoiser_batch(self, t, X):
         self.times.add(float(t))
         return self.inner.denoiser_batch(t, X)
-
-
-@pytest.mark.parametrize("kind", ["percoord"])
-def test_micro_step_end_rates_are_reused(kind):
-    n, t_f = 400, 3.0
-    src = CountingScoreSource(exact_src(fd.sawtooth_params(3), t_f))
-    fd.sample_percoord_batch(src, n, np.random.default_rng(32))
-    h = fd.samplers.MICRO_STEP_SCALE * t_f
-    ends, t = [], 0.0
-    while t < t_f * (1.0 - 1e-15):
-        t = min(t + h, t_f)
-        ends.append(t)
-    full = [t for t, rows in src.calls if rows == n]
-    assert full == [0.0] + ends  # one call at t = 0, one per micro step, no time twice
-    last_full = None
-    for t, rows in src.calls:
-        if rows == n:
-            last_full = t
-        else:
-            assert t == last_full and 0 < rows < n  # only chains that crossed in this step
 
 
 class RowsOnlyScoreSource:
@@ -208,23 +185,30 @@ class RowsOnlyScoreSource:
         raise AssertionError("the thinning sampler queried a scalar time")
 
 
+# the two continuous-time samplers; both accept through samplers._thinning_flips
+THINNING_SAMPLERS = {"continuous": fd.sample_continuous_batch,
+                     "percoord": fd.sample_percoord_batch}
+
+
 def test_continuous_thinning_proposal_count():
     """Proposals are scored at per-chain times inside (0, t_f), one row each.
     The squeeze accepts a proposal unscored with probability floor/R, so the
     scored ones per chain are Poisson with mean the integral of d*(R - floor)
     over [0, t_f]: R = lam*coth(lam*max(u, T_MIN)) integrates to
     ln sinh(lam*t_f) - ln sinh(lam*T_MIN) + lam*T_MIN*coth(lam*T_MIN), and
-    floor = lam*tanh(lam*u) to ln cosh(lam*t_f)."""
+    floor = lam*tanh(lam*u) to ln cosh(lam*t_f). The same holds for d
+    per-coordinate clocks on R each as for one clock on d*R."""
     n, t_f, d = 400, 3.0, 3
-    src = RowsOnlyScoreSource(exact_src(fd.sawtooth_params(d), t_f))
-    fd.sample_continuous_batch(src, n, np.random.default_rng(32))
-    times = np.concatenate(src.times)
-    assert ((times > 0.0) & (times < t_f)).all()
     z_f, z_min = LAM * t_f, LAM * fd.T_MIN
     expected = d * (np.log(np.sinh(z_f)) - np.log(np.sinh(z_min)) + z_min / np.tanh(z_min))
     expected -= d * np.log(np.cosh(z_f))
-    mean = times.size / n
-    assert abs(mean - expected) < 3 * np.sqrt(expected / n)
+    for kind, sample in THINNING_SAMPLERS.items():
+        src = RowsOnlyScoreSource(exact_src(fd.sawtooth_params(d), t_f))
+        sample(src, n, np.random.default_rng(32))
+        times = np.concatenate(src.times)
+        assert ((times > 0.0) & (times < t_f)).all(), kind
+        mean = times.size / n
+        assert abs(mean - expected) < 3 * np.sqrt(expected / n), kind
 
 
 def equivalence_laws():
@@ -346,13 +330,13 @@ def test_recording_source_sees_only_grid_times():
     sch = fd.time_grid("cosine", 25, 3.0)
     flips = fd.flip_counts("linear", sch, 3)
     for kind in ("discrete", "flip", "denoise"):
-        rec = CountingScoreSource(exact_src(dist))
+        rec = TimeRecordingSource(exact_src(dist))
         fd.generate(kind, rec, 64, np.random.default_rng(4), schedule=sch, flips=flips)
         assert rec.times <= set(sch.grid[:-1].tolist())
 
 
 def test_recording_source_sees_continuous_proposal_times():
-    rec = CountingScoreSource(exact_src(fd.sawtooth_params(3)))
+    rec = TimeRecordingSource(exact_src(fd.sawtooth_params(3)))
     fd.generate("continuous", rec, 64, np.random.default_rng(4))
     assert rec.times and all(0.0 < t < 3.0 for t in rec.times)
 
@@ -404,8 +388,9 @@ def test_continuous_matches_dense_law():
 
 def test_continuous_rejects_rates_above_thinning_bound():
     src = fd.ShiftedScoreSource(exact_src(fd.sawtooth_params(3)), rate_bump=0.5)
-    with pytest.raises(fd.SamplerError):
-        fd.sample_continuous_batch(src, 200, np.random.default_rng(38))
+    for sample in THINNING_SAMPLERS.values():
+        with pytest.raises(fd.SamplerError, match="exceeds the thinning bound"):
+            sample(src, 200, np.random.default_rng(38))
 
 
 def reverse_law_sources():
@@ -433,8 +418,8 @@ def test_continuous_matches_exact_reverse_law(name, t_f):
 @pytest.mark.parametrize("t_f", [0.25, 3.0])
 @pytest.mark.parametrize("name", ["dense-d3", "product-d3"])
 def test_percoord_matches_exact_reverse_law(name, t_f):
-    """The per-coordinate clocks follow nu too, within the Monte-Carlo noise
-    of these counts; their O(h) quadrature bias is below it."""
+    """The per-coordinate clocks are exact thinning too, so they follow nu
+    and, at t_f = 0.25, the same counts reject mu*."""
     dist = reverse_law_sources()[name]
     n = 20_000
     states = fd.sample_percoord_batch(exact_src(dist, t_f), n, np.random.default_rng(50))
@@ -449,12 +434,13 @@ def test_continuous_stays_finite_at_large_lam_t_f():
     """lam*t_f = 800 is past where sinh overflows (710): the proposal times
     come out finite and warning-free, and the output follows nu."""
     dist, t_f, n = fd.ProductBernoulli([0.3]), 800.0, 4000
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        states = fd.sample_continuous_batch(exact_src(dist, t_f), n, np.random.default_rng(45))
-        nu = fd.exact_reverse_law(dist, LAM, t_f).to_table().mass
-    counts = np.bincount(fd.state_indices(states), minlength=2)
-    assert chi2_pvalue(counts, nu) > ALPHA_3SIGMA
+    nu = fd.exact_reverse_law(dist, LAM, t_f).to_table().mass
+    for kind, sample in THINNING_SAMPLERS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = sample(exact_src(dist, t_f), n, np.random.default_rng(45))
+        counts = np.bincount(fd.state_indices(states), minlength=2)
+        assert chi2_pvalue(counts, nu) > ALPHA_3SIGMA, kind
 
 
 def unsqueezed_continuous(src, n, rng):
@@ -507,47 +493,49 @@ def allocating_rate_rows(src, t, X, lam):
     return fd.score._check_rates(lam * (1.0 - src.score_batch(t, X)), lam, t)
 
 
-def allocating_percoord(src, n, rng):
-    """The per-coordinate sampler with fresh arrays at every micro step and
-    segment starts kept for all rows: the reference the in-place loop must
-    equal."""
-    lam, d, t_end = src.lam, src.d, src.t_f
-    h = fd.samplers.MICRO_STEP_SCALE * t_end
+def unsqueezed_percoord(src, n, rng):
+    """The per-coordinate clocks without the squeeze, on all n chains every
+    round: each unfinished chain's earliest pending proposal is scored and
+    flips with probability rate/R, and only its clock is redrawn. The
+    reference the sampler must equal."""
+    lam, d, t_f = src.lam, src.d, src.t_f
     X = rng.integers(0, 2, size=(n, d), dtype=np.int8)
-    hi = allocating_rate_rows(src, 0.0, X, lam)
-    acc = np.zeros((n, d))
-    thresh = rng.exponential(size=(n, d))
-    t = 0.0
-    while t < t_end * (1.0 - 1e-15):
-        b = min(t + h, t_end)
-        lo, hi = hi, allocating_rate_rows(src, b, X, lam)
-        seg_start = np.full(n, t)
-        inc = 0.5 * (lo + hi) * (b - t)
-        crossing = (acc + inc >= thresh) & (inc > 0)
-        idx = np.unique(np.flatnonzero(crossing) // d)
-        live = crossing[idx]
-        while idx.size:
-            frac = np.divide(thresh[idx] - acc[idx], inc[idx], where=live,
-                             out=np.full((idx.size, d), np.inf))
-            start = seg_start[idx][:, None]
-            t_cross = start + frac * (b - start)
-            coords = np.argmin(t_cross, axis=1)
-            t_star = t_cross[np.arange(coords.size), coords]
-            X[idx, coords] ^= 1
-            acc[idx] = 0.0
-            thresh_new = rng.exponential(size=(idx.size, d))
-            thresh[idx] = thresh_new
-            r_new = allocating_rate_rows(src, b, X[idx], lam)
-            hi[idx] = r_new
-            seg_start[idx] = t_star
-            inc_new = r_new * (b - t_star)[:, None]
-            inc[idx] = inc_new
-            live = (inc_new >= thresh_new) & (inc_new > 0)
-            again = live.any(axis=1)
-            idx, live = idx[again], live[again]
-        acc += inc
-        t = b
-    return X
+    u = fd.samplers._next_proposal(np.full((n, d), t_f), rng.exponential(size=(n, d)),
+                                   1, lam, lam)
+    while True:
+        coords = np.argmax(u, axis=1)
+        live = np.flatnonzero(t_f - u[np.arange(n), coords] < t_f)
+        if not live.size:
+            return X
+        coords = coords[live]
+        t = t_f - u[live, coords]
+        rates = lam * (1.0 - src.score_rows(t, X[live]))
+        bound = lam / np.tanh(lam * np.maximum(t_f - t, fd.T_MIN))
+        ratio = np.maximum(rates, 0.0)[np.arange(live.size), coords] / bound
+        assert (ratio <= 1.0 + fd.score.RATE_TOL).all()
+        flip = rng.random(live.size) < ratio
+        X[live[flip], coords[flip]] ^= 1
+        u[live, coords] = fd.samplers._next_proposal(u[live, coords],
+                                                     rng.exponential(size=live.size), 1, lam, lam)
+
+
+def clock_sources():
+    dense = np.random.default_rng(46).uniform(0.05, 1.0, 16)
+    cfg = fd.ModelConfig(d=6, blocks=1, width=32, time_embed_dim=16, seed=3)
+    params = fd.init_params(cfg) + np.random.default_rng(47).normal(0.0, 0.3, fd.param_count(cfg))
+    return {"product-d3": exact_src(fd.ProductBernoulli([0.1, 0.5, 0.85])),
+            "dense-d4": exact_src(fd.DenseTable.normalized(dense)),
+            "learned-d6": fd.LearnedScoreSource(params, cfg, LAM, 3.0)}
+
+
+@pytest.mark.parametrize("name", ["product-d3", "dense-d4", "learned-d6"])
+def test_percoord_matches_unsqueezed_loop(name):
+    """The per-coordinate sampler's squeeze and its compaction to the
+    unfinished chains change which rows are scored, never a state."""
+    src = clock_sources()[name]
+    n = 300 if src.kind == "learned" else 2000
+    out = fd.sample_percoord_batch(src, n, np.random.default_rng(48))
+    assert out.tobytes() == unsqueezed_percoord(src, n, np.random.default_rng(48)).tobytes()
 
 
 def allocating_discretized(src, schedule, n, rng):
@@ -575,18 +563,11 @@ def allocating_discretized(src, schedule, n, rng):
 
 @pytest.mark.parametrize("name", ["product-d3", "dense-d4", "learned-d6"])
 def test_in_place_loops_match_allocating_references(name):
-    """The per-coordinate and discretized samplers reuse their per-step
-    arrays; their states equal the allocating loops' bit for bit."""
-    dense = np.random.default_rng(46).uniform(0.05, 1.0, 16)
-    cfg = fd.ModelConfig(d=6, blocks=1, width=32, time_embed_dim=16, seed=3)
-    params = fd.init_params(cfg) + np.random.default_rng(47).normal(0.0, 0.3, fd.param_count(cfg))
-    src = {"product-d3": exact_src(fd.ProductBernoulli([0.1, 0.5, 0.85])),
-           "dense-d4": exact_src(fd.DenseTable.normalized(dense)),
-           "learned-d6": fd.LearnedScoreSource(params, cfg, LAM, 3.0)}[name]
+    """The discretized sampler reuses its per-step arrays; its states equal
+    the allocating loop's bit for bit."""
+    src = clock_sources()[name]
     n = 300 if src.kind == "learned" else 2000
     sch = fd.time_grid("cosine", 40, 3.0)
-    out = fd.sample_percoord_batch(src, n, np.random.default_rng(48))
-    assert out.tobytes() == allocating_percoord(src, n, np.random.default_rng(48)).tobytes()
     out = fd.sample_discretized_batch(src, sch, LAM, n, np.random.default_rng(49))
     ref = allocating_discretized(src, sch, n, np.random.default_rng(49))
     assert out.tobytes() == ref.tobytes()
@@ -605,9 +586,9 @@ class HalfFloorScoreSource:
 
 
 def test_continuous_rejects_rates_below_floor():
-    with pytest.raises(fd.SamplerError, match="below the floor"):
-        fd.sample_continuous_batch(HalfFloorScoreSource(3, LAM, 3.0), 200,
-                                   np.random.default_rng(42))
+    for sample in THINNING_SAMPLERS.values():
+        with pytest.raises(fd.SamplerError, match="below the floor"):
+            sample(HalfFloorScoreSource(3, LAM, 3.0), 200, np.random.default_rng(42))
 
 
 def test_percoord_matches_law():
