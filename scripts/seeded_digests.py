@@ -127,9 +127,9 @@ def main() -> int:
 
 
 def d8_lines(dense_src) -> list[str]:
-    """Outputs added after the first 20 lines: the dense denoiser (d+1
-    propagations each, flip_only_coord included) and score at 64 per-row
-    times, propagate_mass at d=8, and the continuous, discretized and
+    """Outputs added after the first 20 lines: the dense denoiser (the
+    shell-table marginal and one cross table per coordinate) and score at 64
+    per-row times, propagate_mass at d=8, and the continuous, discretized and
     per-coordinate samplers at d=8, where a rate row has 8 entries. A fresh model predicts exactly 0.5, so its
     weights are perturbed to give distinct rates per coordinate."""
     rng = np.random.default_rng(30)
@@ -140,8 +140,7 @@ def d8_lines(dense_src) -> list[str]:
 
     mass = rng.random(256) + 0.05
     mass /= mass.sum()
-    props = [fd.propagate_mass(mass, 0.37, LAM, flip_only_coord=c) for c in (None, 0, 7)]
-    lines.append(f"propagate_mass-d8 {digest(*props)}")
+    lines.append(f"propagate_mass-d8 {digest(fd.propagate_mass(mass, 0.37, LAM))}")
 
     cfg = fd.ModelConfig(d=8, blocks=1, width=32, time_embed_dim=16, seed=8)
     params = fd.init_params(cfg)

@@ -82,33 +82,25 @@ def kernel(x, y, t: float, lam: float) -> float:
     return float(np.prod(np.where(agree, 0.5 + 0.5 * a_t, 0.5 - 0.5 * a_t)))
 
 
-def _kernel_matrix(t: float, lam: float, flip_only: bool = False) -> np.ndarray:
+def _kernel_matrix(t: float, lam: float) -> np.ndarray:
     a_t = alpha(t, lam)
     stay, move = 0.5 + 0.5 * a_t, 0.5 - 0.5 * a_t
-    if flip_only:
-        return np.array([[0.0, move], [move, 0.0]])
     return np.array([[stay, move], [move, stay]])
 
 
-def propagate_mass(mass: np.ndarray, t: float, lam: float, flip_only_coord: int | None = None) -> np.ndarray:
-    """Push a 2^d mass vector through the product kernel for elapsed time t.
-
-    With ``flip_only_coord`` set, that coordinate uses the off-diagonal part of
-    the single-bit kernel only, i.e. the result at y sums mass over sources z
-    with z[coord] != y[coord] (the Bayes numerator for the denoiser).
-    """
+def propagate_mass(mass: np.ndarray, t: float, lam: float) -> np.ndarray:
+    """Push a 2^d mass vector through the product kernel for elapsed time t,
+    one bit per pass, with the bits of ``np.tensordot`` over each axis."""
     mass = np.asarray(mass, dtype=np.float64)
     d = mass.size.bit_length() - 1
     check_enum_limit(d)
-    k_full = _kernel_matrix(t, lam)
-    k_off = _kernel_matrix(t, lam, flip_only=True) if flip_only_coord is not None else None
+    k = _kernel_matrix(t, lam)
     m = mass
-    for ax in range(d):
-        # pass ax contracts the leading bit of the flat index, bit d-1-ax, and
-        # appends the result as the trailing one: the product that
+    for _ in range(d):
+        # each pass contracts the leading bit of the flat index and appends
+        # the result as the trailing one: the product that
         # np.tensordot(m, k, ([0], [0])) hands to BLAS, so the bits match it
-        k_ax = k_off if flip_only_coord == d - 1 - ax else k_full
-        m = np.dot(m.reshape(2, -1).T, k_ax).reshape(-1)
+        m = np.dot(m.reshape(2, -1).T, k).reshape(-1)
     return m
 
 

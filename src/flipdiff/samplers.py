@@ -39,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SampleFormatError, SamplerError
-from .forward import alpha, propagate_mass
+# unused here, but perfbench/layers.py wraps samplers.propagate_mass
+from .forward import alpha, propagate_mass  # noqa: F401
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
 from .score import RATE_TOL, T_MIN, _check_rates, denoiser_from_score, score_from_denoiser
@@ -48,7 +49,9 @@ from .states import (Distribution, EmpiricalSet, ProductBernoulli, distinct_rows
 
 
 class ExactScoreSource:
-    """Ground-truth score/denoiser from an enumerable (or product) data law."""
+    """Ground-truth score/denoiser from an enumerable (or product) data law,
+    both ratios of non-negative forward masses (``_mass_terms``): per bit in
+    closed form for a product law, from distance-shell tables for a dense one."""
 
     kind = "exact"
 
@@ -57,7 +60,7 @@ class ExactScoreSource:
         self.lam = lam
         self.t_f = t_f
         self.d = dist.d
-        self._shells = None
+        self._shells = {}
 
     def _check(self, X):
         X = np.asarray(X)
@@ -76,33 +79,37 @@ class ExactScoreSource:
         a_u = np.asarray(alpha(u, self.lam))[..., None]
         return a_u, 0.5 + (self.dist.probs - 0.5) * a_u
 
-    def _shell_table(self) -> np.ndarray:
-        """shells[h, z]: the data mass at Hamming distance h from state z.
+    def _shell_table(self, cross: int | None = None) -> np.ndarray:
+        """shells[h, z]: the data mass at Hamming distance h from state z;
+        with ``cross`` = l, only that of sources whose bit l differs from z's.
 
         Built on first use in d butterfly passes and kept for the source's
-        life, so it holds (d+1)*2^d doubles; a forward marginal is then one
-        weighted sum over its d+1 rows at any time."""
-        if self._shells is None:
+        life, (d+1)*2^d doubles each: the plain table for the score, and one
+        cross table per coordinate once the denoiser is queried. A forward
+        mass is then one weighted sum over d+1 rows at any time."""
+        if cross not in self._shells:
             d = self.d
             shells = np.zeros((d + 1, 1 << d))
             shells[0] = self.dist.mass
             for bit in range(d):
-                # a source differing from z in this bit is one step further away
+                # a source differing from z in this bit is one step further
+                # away; the cross table drops the sources that agree in it
                 m = shells.reshape(d + 1, -1, 2, 1 << bit)
-                nxt = m.copy()
+                nxt = np.zeros_like(m) if bit == cross else m.copy()
                 nxt[1:, :, 0] += m[:-1, :, 1]
                 nxt[1:, :, 1] += m[:-1, :, 0]
                 shells = nxt.reshape(d + 1, -1)
-            self._shells = shells
-        return self._shells
+            self._shells[cross] = shells
+        return self._shells[cross]
 
-    def _marginal_mass(self, u, where) -> np.ndarray:
+    def _marginal_mass(self, u, where, cross: int | None = None) -> np.ndarray:
         """mu_u at the state indices ``where``: sum_h shells[h]*p^(d-h)*q^h
         with p, q = (1 +- alpha(u))/2, the terms added in h order and the
         powers built by repeated products, so the bits of an entry depend
-        only on its state and its time. ``u`` is a float or an array that
-        broadcasts against ``where``."""
-        shells, d = self._shell_table(), self.d
+        only on its state and its time; ``cross`` sums a cross table
+        instead. ``u`` is a float or an array that broadcasts against
+        ``where``."""
+        shells, d = self._shell_table(cross), self.d
         a_u = alpha(u, self.lam)
         stay, move = 0.5 + 0.5 * a_u, 0.5 - 0.5 * a_u
         stay_pow = [1.0]
@@ -115,25 +122,38 @@ class ExactScoreSource:
             out += shells[h][where] * (stay_pow[d - h] * move_pow)
         return out
 
-    def _dense_score(self, u, X) -> np.ndarray:
-        """Score of a dense law at a scalar forward time or one per row: the
-        marginal at each row's state and its d single-bit flips. A scalar
-        time builds the marginal over all states once and looks rows up in
-        it; either way every value comes from the same ``_marginal_mass``
-        terms, so the two agree bit for bit."""
+    def _mass_terms(self, u, X, moved: bool):
+        """(here, other) at a scalar forward time or one per row: ``here`` is
+        mu_u at each row's state, and ``other`` holds per coordinate l either
+        mu_u at the state's l-flip (the score is 1 - other/here) or, when
+        ``moved``, the part of ``here`` carried from sources whose bit l
+        differs (the denoiser is other/here). A dense law at a scalar time
+        builds the marginal over all states once and looks rows up in it;
+        either way every value comes from the same ``_marginal_mass`` terms,
+        so the two agree bit for bit."""
+        if isinstance(self.dist, ProductBernoulli):
+            a_u, q1 = self._product_marginal(u)
+            here = np.where(X == 1, q1, 1.0 - q1)
+            if not moved:
+                return here, 1.0 - here
+            prior_other = np.where(X == 1, 1.0 - self.dist.probs, self.dist.probs)
+            return here, prior_other * (0.5 * (1.0 - a_u))
         idx = state_indices(X)
-        flips = flip_index(self.d)[idx]
-        if np.ndim(u) == 0:
+        if moved:
+            here = self._marginal_mass(u, idx)
+            other = np.stack([self._marginal_mass(u, idx, cross=l) for l in range(self.d)], axis=1)
+        elif np.ndim(u) == 0:
             table = self._marginal_mass(float(u), slice(None))
-            here, flipped = table[idx], table[flips]
+            here, other = table[idx], table[flip_index(self.d)[idx]]
         else:
+            flips = flip_index(self.d)[idx]
             mass = self._marginal_mass(u[:, None], np.concatenate([idx[:, None], flips], axis=1))
-            here, flipped = mass[:, 0], mass[:, 1:]
+            here, other = mass[:, 0], mass[:, 1:]
         if (here <= 0.0).any():
             row = int(np.argmin(here))
             u_bad = float(u if np.ndim(u) == 0 else u[row])
             raise ValueError(f"state index {idx[row]} has zero mass at forward time {u_bad!r}")
-        return 1.0 - flipped / here[:, None]
+        return here[:, None], other
 
     # --- scalar time --------------------------------------------------------
 
@@ -143,7 +163,8 @@ class ExactScoreSource:
         X = self._check(X)
         u = self._forward_time(t)
         if not isinstance(self.dist, ProductBernoulli):
-            return self._dense_score(u, X)
+            here, flipped = self._mass_terms(u, X, moved=False)
+            return 1.0 - flipped / here
         # entry (c, b) is the score of coordinate c reading bit b, from the
         # same arithmetic as score_rows; each column takes its entries by
         # the rows' bits, with no n x d integer index
@@ -162,34 +183,13 @@ class ExactScoreSource:
 
     def score_rows(self, ts, X) -> np.ndarray:
         X = self._check(X)
-        u = self._forward_time(ts)
-        if isinstance(self.dist, ProductBernoulli):
-            _, q1 = self._product_marginal(u)
-            p_here = np.where(X == 1, q1, 1.0 - q1)
-            return 1.0 - (1.0 - p_here) / p_here
-        return self._dense_score(u, X)
+        here, flipped = self._mass_terms(self._forward_time(ts), X, moved=False)
+        return 1.0 - flipped / here
 
     def denoiser_rows(self, ts, X) -> np.ndarray:
         X = self._check(X)
-        u = self._forward_time(ts)
-        if isinstance(self.dist, ProductBernoulli):
-            a_u, q1 = self._product_marginal(u)
-            p_here = np.where(X == 1, q1, 1.0 - q1)
-            prior_other = np.where(X == 1, 1.0 - self.dist.probs[None, :],
-                                   self.dist.probs[None, :])
-            return prior_other * (0.5 * (1.0 - a_u)) / p_here
-        out = np.empty(X.shape, dtype=np.float64)
-        for u_val in np.unique(u):
-            rows = u == u_val
-            idx = state_indices(X[rows])
-            denom = propagate_mass(self.dist.mass, u_val, self.lam)[idx]
-            if (denom <= 0.0).any():
-                bad = idx[np.argmin(denom)]
-                raise ValueError(f"state index {bad} is unreachable at forward time {u_val!r}")
-            for coord in range(self.d):
-                numer = propagate_mass(self.dist.mass, u_val, self.lam, flip_only_coord=coord)
-                out[np.flatnonzero(rows), coord] = numer[idx] / denom
-        return out
+        here, moved = self._mass_terms(self._forward_time(ts), X, moved=True)
+        return moved / here
 
 
 class LearnedScoreSource:

@@ -92,22 +92,6 @@ def test_chapman_kolmogorov():
     assert np.max(np.abs(two_step.mass - one_step.mass)) < 1e-12
 
 
-def test_propagate_mass_flip_only_matches_brute_force():
-    rng = np.random.default_rng(11)
-    d, t, lam = 3, 0.45, 1.0
-    mass = rng.uniform(0, 1, 1 << d)
-    mass /= mass.sum()
-    states = fd.all_states(d)
-    for coord in range(d):
-        out = fd.propagate_mass(mass, t, lam, flip_only_coord=coord)
-        for x in states:
-            brute = sum(
-                mass[fd.state_index(z)] * fd.kernel(z, x, t, lam)
-                for z in states if z[coord] != x[coord]
-            )
-            assert out[fd.state_index(x)] == pytest.approx(brute, abs=1e-14)
-
-
 def tensordot_propagate(mass, t, lam, flip_only_coord=None):
     """propagate_mass written with np.tensordot, as the bit-level reference."""
     d = mass.size.bit_length() - 1
@@ -127,10 +111,29 @@ def test_propagate_mass_matches_tensordot_bit_for_bit():
     for d in range(1, 11):
         mass = rng.dirichlet(np.ones(1 << d))
         t = rng.uniform(0.01, 2.0)
-        for coord in (None, *range(d)):
-            out = fd.propagate_mass(mass, t, 1.3, flip_only_coord=coord)
-            ref = tensordot_propagate(mass, t, 1.3, coord)
-            assert out.tobytes() == ref.tobytes(), (d, coord)
+        out = fd.propagate_mass(mass, t, 1.3)
+        assert out.tobytes() == tensordot_propagate(mass, t, 1.3).tobytes(), d
+
+
+@pytest.mark.parametrize("lam_t_f", [3.0, 20.0, 800.0])
+def test_dense_denoiser_matches_flip_only_propagation(lam_t_f):
+    """The exact dense denoiser is the flip-only propagation of the data mass
+    over the full one, at each row's own forward time, including u = 0 and
+    u = 2e-5 < T_MIN, and at horizons where alpha underflows."""
+    rng = np.random.default_rng(43)
+    t_f = 3.0
+    lam = lam_t_f / t_f
+    for d in range(1, 9):
+        mass = rng.dirichlet(np.ones(1 << d))
+        src = fd.ExactScoreSource(fd.DenseTable.normalized(mass), lam, t_f)
+        X = rng.integers(0, 2, (6, d))
+        ts = np.concatenate([[t_f, t_f - 2e-5], rng.uniform(0.0, t_f, 4)])
+        got = src.denoiser_rows(ts, X)
+        for x, t, row in zip(X, ts, got):
+            i, u = fd.state_index(x), t_f - t
+            ref = [tensordot_propagate(mass, u, lam, coord)[i] for coord in range(d)]
+            ref = np.array(ref) / tensordot_propagate(mass, u, lam)[i]
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13)
 
 
 def test_sample_conditional_identity_at_zero():

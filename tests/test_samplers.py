@@ -93,9 +93,10 @@ def test_dense_score_matches_kernel_sums_at_per_row_times(d):
 def test_dense_score_rows_zero_mass_state_errors():
     src = exact_src(fd.delta_table([0, 1, 1]))
     X = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.int8)
-    assert np.isfinite(src.score_rows(np.array([3.0, 1.0]), X)).all()
-    with pytest.raises(ValueError):
-        src.score_rows(np.array([1.0, 3.0]), X)  # forward time 0 at a zero-mass state
+    for query in (src.score_rows, src.denoiser_rows):
+        assert np.isfinite(query(np.array([3.0, 1.0]), X)).all()
+        with pytest.raises(ValueError, match="zero mass"):
+            query(np.array([1.0, 3.0]), X)  # forward time 0 at a zero-mass state
 
 
 def test_learned_source_scores_satisfy_rate_positivity():
