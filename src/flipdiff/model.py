@@ -6,9 +6,12 @@ layers with SiLU and a per-block time injection; a zero-initialized output
 layer under a final sigmoid, so a fresh model predicts exactly 0.5).
 
 Gradients are hand-written reverse mode over this fixed graph — no autodiff
-framework — in float64 throughout; the finite-difference check in the test
-suite is the safety net. The forward and backward pass write into one
-workspace of preallocated arrays; ``loss_and_grad`` keeps its workspace
+framework; the finite-difference check in the test suite is the safety net.
+The network computes in the dtype of the parameter vector it is given:
+training and ``LearnedScoreSource`` pass a float32 copy of float64 master
+weights, the finite-difference check passes float64. Predictions leave, and
+the loss is computed, in float64. The forward and backward pass write into
+one workspace of preallocated arrays; ``loss_and_grad`` keeps its workspace
 between calls, so training runs one thread per process.
 """
 
@@ -108,9 +111,11 @@ def init_params(config: ModelConfig) -> np.ndarray:
 
 
 def _sigmoid(x, out):
-    """out = 1 / (1 + exp(-x))."""
+    """out = 1 / (1 + exp(-x)); exp overflows to inf for a very negative x
+    (below -88 in float32), and 1 / (1 + inf) = 0 is the limit."""
     np.negative(x, out=out)
-    np.exp(out, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
@@ -162,22 +167,23 @@ class _Workspace:
     values that the backward reads: ``inv``, ``xhat``, ``normed``, ``z1``,
     its sigmoid ``s1`` and ``a1``. All arrays but ``out`` are views of one
     buffer, so a freed workspace leaves no holes in the heap that stay
-    resident. ``out`` is its own array because ``predict_batch`` returns it.
+    resident. ``out`` is its own array because ``predict_batch`` returns it
+    when the params are float64.
     """
 
-    def __init__(self, config: ModelConfig, n: int, time_shape: tuple):
+    def __init__(self, config: ModelConfig, n: int, time_shape: tuple, dtype):
         offsets, total = _workspace_layout(config, n, time_shape)
-        arrays = _unpack(np.empty(total), offsets)
+        arrays = _unpack(np.empty(total, dtype), offsets)
         self.__dict__.update(arrays)
         self.blocks = [SimpleNamespace(**{k: arrays[f"{k}{b}"] for k in ("inv", *_BLOCK_ARRAYS)})
                        for b in range(config.blocks)]
-        self.out = np.empty((n, config.d))
+        self.out = np.empty((n, config.d), dtype)
 
 
 @functools.lru_cache(maxsize=1)
-def _training_workspace(config: ModelConfig, n: int) -> _Workspace:
-    """The workspace ``loss_and_grad`` reuses while (config, batch size) repeat."""
-    return _Workspace(config, n, (n,))
+def _training_workspace(config: ModelConfig, n: int, dtype) -> _Workspace:
+    """The workspace ``loss_and_grad`` reuses while (config, batch size, dtype) repeat."""
+    return _Workspace(config, n, (n,), dtype)
 
 
 def _row_mean(x, out):
@@ -189,7 +195,8 @@ def _row_mean(x, out):
 
 def _forward(params: np.ndarray, config: ModelConfig, ts, xs, ws: _Workspace) -> np.ndarray:
     """Forward pass into ``ws``; returns ``ws.out``. A scalar ``ts`` runs the
-    time path once and broadcasts it."""
+    time path once and broadcasts it. The time angles are computed in float64
+    and rounded once to the workspace's dtype."""
     p = _views(params, config)
     np.copyto(ws.xs, xs)
     half = config.time_embed_dim // 2
@@ -227,7 +234,8 @@ def _forward(params: np.ndarray, config: ModelConfig, ts, xs, ws: _Workspace) ->
 def _backward(params: np.ndarray, config: ModelConfig, ws: _Workspace,
               d_out: np.ndarray) -> np.ndarray:
     """Gradient of the loss in parameter space from d loss / d out, using the
-    values ``_forward`` left in ``ws`` (per-row times); returns a new array."""
+    values ``_forward`` left in ``ws`` (per-row times); returns a new array.
+    ``d_out`` is in the params' dtype."""
     p = _views(params, config)
     grad = np.empty_like(params)
     g = _views(grad, config)
@@ -271,8 +279,8 @@ def _backward(params: np.ndarray, config: ModelConfig, ws: _Workspace,
 
 
 def predict_batch(params: np.ndarray, config: ModelConfig, ts, xs) -> np.ndarray:
-    """Denoiser predictions in (0,1)^d for rows of ``xs`` at backward times ``ts``:
-    one time per row, or one scalar time for all rows."""
+    """Denoiser predictions in (0,1)^d, as float64, for rows of ``xs`` at backward
+    times ``ts``: one time per row, or one scalar time for all rows."""
     if not np.isfinite(params).all():
         raise ModelCorruptError("model parameters contain NaN or infinity")
     ts = np.asarray(ts, dtype=np.float64)
@@ -281,7 +289,8 @@ def predict_batch(params: np.ndarray, config: ModelConfig, ts, xs) -> np.ndarray
         raise ValueError(f"states must have shape (n, {config.d})")
     if ts.ndim and ts.shape != (xs.shape[0],):
         raise ValueError("need one time per state row, or one scalar time")
-    return _forward(params, config, ts, xs, _Workspace(config, xs.shape[0], ts.shape))
+    ws = _Workspace(config, xs.shape[0], ts.shape, params.dtype)
+    return _forward(params, config, ts, xs, ws).astype(np.float64, copy=False)
 
 
 def loss_and_grad(params: np.ndarray, config: ModelConfig, batch, loss_spec):
@@ -296,14 +305,14 @@ def loss_and_grad(params: np.ndarray, config: ModelConfig, batch, loss_spec):
 
     if not np.isfinite(params).all():
         raise ModelCorruptError("model parameters contain NaN or infinity")
-    ws = _training_workspace(config, batch.x_noised.shape[0])
-    out = _forward(params, config, batch.t, batch.x_noised, ws)
+    ws = _training_workspace(config, batch.x_noised.shape[0], params.dtype)
+    out = _forward(params, config, batch.t, batch.x_noised, ws).astype(np.float64, copy=False)
     total, parts, d_out = loss_parts_and_pred_grad(batch, out, loss_spec)
     if not np.isfinite(total):
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
         idx = int(bad[0]) if bad.size else -1
         raise TrainingError(f"non-finite loss (first offending sample index {idx})")
-    return total, _backward(params, config, ws, d_out), parts
+    return total, _backward(params, config, ws, d_out.astype(params.dtype, copy=False)), parts
 
 
 @dataclass
@@ -331,9 +340,11 @@ class OptimizerState:
 
 def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) -> np.ndarray:
     """One decoupled-weight-decay Adam update; returns the new parameters and
-    updates ``state.m`` and ``state.v`` in place."""
+    updates ``state.m`` and ``state.v`` in place. A float32 gradient is
+    upcast to the parameters' dtype first."""
     if grad.shape != params.shape:
         raise ValueError("gradient and parameter shapes differ")
+    grad = grad.astype(params.dtype, copy=False)
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; step rejected")
     if state.m is None:
@@ -359,7 +370,8 @@ def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) 
     v_hat += state.eps
     step = m_hat
     step /= v_hat
-    step += np.multiply(params, state.weight_decay, out=new)
+    if state.weight_decay:  # adding params * 0 = ±0 leaves params - lr * step unchanged
+        step += np.multiply(params, state.weight_decay, out=new)
     step *= lr
     np.subtract(params, step, out=new)
     if not np.isfinite(new).all():

@@ -193,12 +193,13 @@ class ExactScoreSource:
 
 
 class LearnedScoreSource:
-    """Score/denoiser backed by trained network parameters."""
+    """Score/denoiser backed by trained network parameters, kept as the float32
+    copy the network computes in; scores and denoisers come back as float64."""
 
     kind = "learned"
 
     def __init__(self, params: np.ndarray, config: ModelConfig, lam: float, t_f: float):
-        self.params = np.asarray(params, dtype=np.float64)
+        self.params = np.asarray(params, dtype=np.float32)
         self.config = config
         self.lam = lam
         self.t_f = t_f

@@ -65,7 +65,9 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
           rng: np.random.Generator, init: np.ndarray | None = None,
           opt_state: OptimizerState | None = None, start_step: int = 0,
           log_path=None) -> TrainResult:
-    """Fit the denoiser; deterministic given the rng seed and inputs.
+    """Fit the denoiser; deterministic given the rng seed and inputs. The
+    master params, AdamW moments and EMA are float64; the network's forward
+    and backward run on a float32 copy of the params.
 
     ``init``/``opt_state``/``start_step`` allow resuming so step numbering
     continues across checkpoints.
@@ -81,7 +83,7 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
     for step in range(start_step, start_step + settings.steps):
         x0s = draw_clean_states(dataset, settings.batch_size, rng)
         batch = make_batch(x0s, lam, t_f, rng)
-        total, grad, parts = loss_and_grad(params, model_config, batch, spec)
+        total, grad, parts = loss_and_grad(params.astype(np.float32), model_config, batch, spec)
         if not np.isfinite(total) or abs(total) > DIVERGENCE_LIMIT:
             raise TrainingError(
                 f"training diverged at step {step}: loss={total!r} "

@@ -1,9 +1,16 @@
 """The denoiser's workspace forward/backward pass and in-place AdamW against
 the allocating forms they replaced (kept below as references), plus the
-aliasing and memory guarantees of the reused training workspace."""
+aliasing and memory guarantees of the reused training workspace.
+
+The references compute in the params' dtype and cast where the model does:
+the states and the float64 time angles into that dtype on the way in, the
+predictions to float64 for the loss, and d loss / d out back to the params'
+dtype for the backward pass. Both dtypes are held to ``==``."""
 
 import dataclasses
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,19 +26,24 @@ D8 = fd.ModelConfig(d=8)
 
 # --- references: one fresh array per operation ---------------------------------
 
+def ref_sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def ref_silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s
+    return x * ref_sigmoid(x)
 
 
 def ref_silu_grad(x):
-    s = 1.0 / (1.0 + np.exp(-x))
+    s = ref_sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 
 def ref_forward(params, config, ts, xs):
     p = _views(params, config)
-    ang = ts[..., None] * _frequencies(config.time_embed_dim // 2)
+    xs = xs.astype(params.dtype)
+    ang = (ts[..., None] * _frequencies(config.time_embed_dim // 2)).astype(params.dtype)
     feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
     z_t = feats @ p["w_time"].T + p["b_time"]
     emb = ref_silu(z_t)
@@ -49,7 +61,7 @@ def ref_forward(params, config, ts, xs):
         cache["blocks"].append({"inv": inv, "xhat": xhat, "normed": normed, "z1": z1, "a1": a1})
         h = h + z2
     logits = h @ p["w_out"].T + p["b_out"]
-    out = 1.0 / (1.0 + np.exp(-logits))
+    out = ref_sigmoid(logits)
     cache["h_final"] = h
     cache["out"] = out
     return out, cache
@@ -95,11 +107,12 @@ def ref_backward(params, config, cache, d_out):
 def ref_loss_and_grad(params, config, batch, spec):
     out, cache = ref_forward(params, config, batch.t.astype(np.float64),
                              batch.x_noised.astype(np.float64))
-    total, parts, d_out = loss_parts_and_pred_grad(batch, out, spec)
-    return total, ref_backward(params, config, cache, d_out), parts
+    total, parts, d_out = loss_parts_and_pred_grad(batch, out.astype(np.float64), spec)
+    return total, ref_backward(params, config, cache, d_out.astype(params.dtype)), parts
 
 
 def ref_optimizer_step(params, grad, state):
+    grad = grad.astype(params.dtype)
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
@@ -124,45 +137,84 @@ def _batch(config, n, seed):
     return fd.make_batch(fd.sawtooth_params(config.d).sample(n, rng).samples, LAM, T_F, rng)
 
 
-@pytest.mark.parametrize("config", [SMALL, D8], ids=["small", "d8"])
-@pytest.mark.parametrize("w_scaled", [False, True])
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_loss_and_grad_matches_reference(config, w_scaled, preset):
+def _in_both_dtypes(*axes):
+    """pytest params for every combination of ``axes`` (lists of (id, value)),
+    each in float64 under its plain id and in float32 under ``<id>-float32``."""
+    cases = []
+    for combo in itertools.product(*axes):
+        name, values = "-".join(i for i, _ in combo), [v for _, v in combo]
+        cases += [pytest.param(*values, np.float64, id=name),
+                  pytest.param(*values, np.float32, id=f"{name}-float32")]
+    return cases
+
+
+@pytest.mark.parametrize("preset,w_scaled,config,dtype", _in_both_dtypes(
+    [(k, k) for k in sorted(PRESETS)], [("False", False), ("True", True)],
+    [("small", SMALL), ("d8", D8)]))
+def test_loss_and_grad_matches_reference(preset, w_scaled, config, dtype):
     spec = dataclasses.replace(PRESETS[preset], w_scaled=w_scaled)
-    params = _params(config, 1)
+    params = _params(config, 1).astype(dtype)
     for n in (37, 64):
         batch = _batch(config, n, n)
         total, grad, parts = loss_and_grad(params, config, batch, spec)
         ref_total, ref_grad, ref_parts = ref_loss_and_grad(params, config, batch, spec)
         assert total == ref_total and parts == ref_parts
-        assert grad.tobytes() == ref_grad.tobytes()
+        assert grad.dtype == dtype and grad.tobytes() == ref_grad.tobytes()
 
 
-@pytest.mark.parametrize("n", [10, 205, 256])
-def test_predict_batch_matches_reference(n):
-    params = _params(D8, 2, scale=0.3)
+@pytest.mark.parametrize("n,dtype", _in_both_dtypes([(str(n), n) for n in (10, 205, 256)]))
+def test_predict_batch_matches_reference(n, dtype):
+    params = _params(D8, 2, scale=0.3).astype(dtype)
     rng = np.random.default_rng(n)
     xs = rng.integers(0, 2, (n, D8.d)).astype(float)
     ts = rng.uniform(0, T_F, n)
     for t in (np.asarray(0.7), ts):
         out = fd.predict_batch(params, D8, t, xs)
-        assert out.tobytes() == ref_forward(params, D8, t, xs)[0].tobytes()
+        ref = ref_forward(params, D8, t, xs)[0].astype(np.float64)
+        assert out.dtype == np.float64 and out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("config", [SMALL, D8], ids=["small", "d8"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_float32_gradient_is_close_to_float64(config, preset):
+    params = _params(config, 1)
+    batch = _batch(config, 256, 5)
+    total, grad, _ = loss_and_grad(params, config, batch, PRESETS[preset])
+    total32, grad32, _ = loss_and_grad(params.astype(np.float32), config, batch, PRESETS[preset])
+    assert grad32.dtype == np.float32
+    assert abs(total32 - total) <= 1e-5 * abs(total)
+    assert np.linalg.norm(grad32 - grad) <= 1e-3 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_saturates_without_overflow_warning(dtype):
+    params = fd.init_params(SMALL).astype(dtype)
+    logit = np.finfo(dtype).minexp * np.log(2.0) - 10.0  # exp(-logit) overflows
+    _views(params, SMALL)["b_out"][...] = [logit, -100.0, 0.0, 100.0]
+    xs = np.eye(SMALL.d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fd.predict_batch(params, SMALL, 1.0, xs)
+    assert (out[:, 0] == 0.0).all() and (out[:, 2] == 0.5).all()
+    assert (out[:, 1] < 1e-43).all() and (out[:, 3] == 1.0).all()
 
 
 def test_optimizer_steps_match_reference():
-    rng = np.random.default_rng(3)
-    params = _params(SMALL, 3)
-    settings = dict(lr=1e-2, weight_decay=0.05, decay_every=2, decay_rate=0.5)
-    state, ref_state = fd.OptimizerState(**settings), fd.OptimizerState(**settings)
-    new, ref = params, params
-    for _ in range(5):
-        grad = rng.normal(0, 1, params.size)
-        new = fd.optimizer_step(new, grad, state)
-        ref = ref_optimizer_step(ref, grad, ref_state)
-        assert new.tobytes() == ref.tobytes()
-    assert state.step == ref_state.step == 5
-    assert state.m.tobytes() == ref_state.m.tobytes()
-    assert state.v.tobytes() == ref_state.v.tobytes()
+    # weight_decay == 0 skips the decay term; the reference always adds it
+    for weight_decay, grad_dtype in ((0.05, np.float64), (0.0, np.float64), (0.0, np.float32)):
+        rng = np.random.default_rng(3)
+        params = _params(SMALL, 3)
+        settings = dict(lr=1e-2, weight_decay=weight_decay, decay_every=2, decay_rate=0.5)
+        state, ref_state = fd.OptimizerState(**settings), fd.OptimizerState(**settings)
+        new, ref = params, params
+        for _ in range(5):
+            grad = rng.normal(0, 1, params.size).astype(grad_dtype)
+            new = fd.optimizer_step(new, grad, state)
+            ref = ref_optimizer_step(ref, grad, ref_state)
+            assert new.dtype == np.float64 and new.tobytes() == ref.tobytes()
+        assert state.step == ref_state.step == 5
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
 
 
 def test_ema_training_run_matches_reference():
@@ -180,7 +232,7 @@ def test_ema_training_run_matches_reference():
     rows = []
     for step in range(settings.steps):
         batch = fd.make_batch(draw_clean_states(dist, settings.batch_size, rng), LAM, T_F, rng)
-        total, grad, parts = ref_loss_and_grad(params, SMALL, batch, spec)
+        total, grad, parts = ref_loss_and_grad(params.astype(np.float32), SMALL, batch, spec)
         params = ref_optimizer_step(params, grad, state)
         ema = settings.ema_rate * ema + (1.0 - settings.ema_rate) * params
         rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac))

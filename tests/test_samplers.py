@@ -127,23 +127,47 @@ def test_learned_source_dedup_keeps_row_order(dtype):
     cfg = fd.ModelConfig(d=4, blocks=2, width=24, time_embed_dim=12, seed=3)
     rng = np.random.default_rng(31)
     params = fd.init_params(cfg) + rng.normal(0, 0.2, fd.param_count(cfg))
-    src = fd.LearnedScoreSource(params, cfg, LAM, 3.0)
     X = rng.integers(0, 2, (6, 4))[rng.integers(0, 6, 300)].astype(dtype)
     perm = rng.permutation(300)
-    tol = 4 * np.finfo(float).eps
-    for t in (0.0, 1.5, 2.9):
-        ts = np.full(300, t)
-        # a denoiser error e moves the score by b_coef * e
-        b_coef = fd.score_from_denoiser(0.0, t, LAM, 3.0) - fd.score_from_denoiser(1.0, t, LAM, 3.0)
-        dvec, svec = src.denoiser_batch(t, X), src.score_batch(t, X)
-        np.testing.assert_allclose(dvec, src.denoiser_rows(ts, X), rtol=0, atol=tol)
-        np.testing.assert_allclose(svec, src.score_rows(ts, X), rtol=0, atol=tol * b_coef)
-        # the distinct rows, and so the evaluated batch, do not depend on row order
-        assert (src.denoiser_batch(t, X[perm]) == dvec[perm]).all()
-        assert (src.score_batch(t, X[perm]) == svec[perm]).all()
-    empty = np.zeros((0, 4), dtype=dtype)
-    assert src.denoiser_batch(1.0, empty).shape == (0, 4)
-    assert src.score_batch(1.0, empty).shape == (0, 4)
+    src32 = fd.LearnedScoreSource(params, cfg, LAM, 3.0)  # computes in float32
+    src64 = fd.LearnedScoreSource(params, cfg, LAM, 3.0)
+    src64.params = params  # the same network computing in float64
+    for src in (src64, src32):
+        tol = 4 * np.finfo(src.params.dtype).eps
+        for t in (0.0, 1.5, 2.9):
+            ts = np.full(300, t)
+            # a denoiser error e moves the score by b_coef * e
+            b_coef = (fd.score_from_denoiser(0.0, t, LAM, 3.0)
+                      - fd.score_from_denoiser(1.0, t, LAM, 3.0))
+            dvec, svec = src.denoiser_batch(t, X), src.score_batch(t, X)
+            np.testing.assert_allclose(dvec, src.denoiser_rows(ts, X), rtol=0, atol=tol)
+            np.testing.assert_allclose(svec, src.score_rows(ts, X), rtol=0, atol=tol * b_coef)
+            # the distinct rows, and so the evaluated batch, do not depend on row order
+            assert (src.denoiser_batch(t, X[perm]) == dvec[perm]).all()
+            assert (src.score_batch(t, X[perm]) == svec[perm]).all()
+        empty = np.zeros((0, 4), dtype=dtype)
+        assert src.denoiser_batch(1.0, empty).shape == (0, 4)
+        assert src.score_batch(1.0, empty).shape == (0, 4)
+
+
+def test_learned_source_returns_float64_from_a_float64_checkpoint(tmp_path):
+    cfg = fd.ModelConfig(d=4, blocks=1, width=16, time_embed_dim=8, seed=4)
+    settings = fd.TrainSettings(steps=5, batch_size=32)
+    params = fd.train(fd.sawtooth_params(4), cfg, fd.LossSpec(1, 1, 1), settings, LAM, 3.0,
+                      np.random.default_rng(6)).params
+    assert params.dtype == np.float64
+    meta = fd.CheckpointMeta(lam=LAM, t_f=3.0, d=4, w1=1.0, w2=1.0, w3=1.0,
+                             w_scaled=False, seed=6, steps=5)
+    fd.save_checkpoint(tmp_path / "model.bin", params, cfg, meta)
+    loaded = fd.load_checkpoint(tmp_path / "model.bin")[0]
+    assert loaded.dtype == np.float64 and loaded.tobytes() == params.tobytes()
+    src = fd.LearnedScoreSource.from_checkpoint(tmp_path / "model.bin", d=4)
+    assert src.params.tobytes() == params.astype(np.float32).tobytes()
+    X = fd.all_states(4)
+    ts = np.linspace(0.0, 2.9, len(X))
+    for out in (src.denoiser_batch(1.0, X), src.score_batch(1.0, X),
+                src.denoiser_rows(ts, X), src.score_rows(ts, X)):
+        assert out.dtype == np.float64 and out.shape == X.shape
 
 
 class TimeRecordingSource:
