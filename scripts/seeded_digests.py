@@ -3,8 +3,8 @@ marginal, the exact reverse law, the validate-bounds report with and without
 ``--corrupt 0.05`` (the shifted score source), the sliced Wasserstein metric, a
 sample dump's bytes and read-back, the exact dense denoiser and score,
 ``propagate_mass`` at d=8, three samplers on a d=8 learned source, two
-training runs, single-chain discretized draws, and ``distinct_rows`` on
-int8 and float64 0/1 sets.
+training runs, single-chain discretized draws, ``distinct_rows`` on int8 and
+float64 0/1 sets, and the denoise-renoise sampler on the d=8 learned source.
 
 Two checkouts that print the same lines produce byte-identical outputs, so a
 change meant to be exact can be checked with one diff:
@@ -118,20 +118,23 @@ def main() -> int:
         same = bool((fd.read_samples(path).samples == dump).all())
         sha = hashlib.sha256(path.read_bytes()).hexdigest()
         lines.append(f"samples-io/read-back={same} {sha}")
-    lines += d8_lines(srcs["exact-dense-d4"])
+    d8, learned_d8 = d8_lines(srcs["exact-dense-d4"])
+    lines += d8
     lines += training_lines()
     lines.append(single_chain_line(srcs))
     lines.append(distinct_rows_line())
+    lines.append(learned_d8_denoise_line(learned_d8))
     print("\n".join(lines))
     return 0
 
 
-def d8_lines(dense_src) -> list[str]:
+def d8_lines(dense_src) -> tuple[list[str], fd.LearnedScoreSource]:
     """Outputs added after the first 20 lines: the dense denoiser (the
     shell-table marginal and one cross table per coordinate) and score at 64
     per-row times, propagate_mass at d=8, and the continuous, discretized and
     per-coordinate samplers at d=8, where a rate row has 8 entries. A fresh model predicts exactly 0.5, so its
-    weights are perturbed to give distinct rates per coordinate."""
+    weights are perturbed to give distinct rates per coordinate; that source
+    is returned with the lines."""
     rng = np.random.default_rng(30)
     ts = rng.uniform(0.0, T_F, size=64)
     states = rng.integers(0, 2, size=(64, 4), dtype=np.int8)
@@ -154,7 +157,16 @@ def d8_lines(dense_src) -> list[str]:
     lines.append(f"learned-d8/discrete {digest(disc)}")
     percoord = fd.sample_percoord_batch(src, 300, np.random.default_rng([31, 2]))
     lines.append(f"learned-d8/percoord {digest(percoord)}")
-    return lines
+    return lines, src
+
+
+def learned_d8_denoise_line(src) -> str:
+    """The denoise-renoise sampler on the perturbed d=8 model, whose
+    predictions differ from row to row, so the line also shows whether each
+    distinct row's prediction is gathered back to the rows it came from."""
+    schedule = fd.time_grid("cosine", 40, T_F)
+    out = fd.sample_denoise_renoise_batch(src, schedule, LAM, 2000, np.random.default_rng([31, 3]))
+    return f"learned-d8/denoise {digest(out)}"
 
 
 def training_lines() -> list[str]:

@@ -227,7 +227,7 @@ class LearnedScoreSource:
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"states must have shape (n, {self.d})")
         first, inverse, _ = distinct_rows(X)
-        return predict_batch(self.params, self.config, t, X[first])[inverse]
+        return np.take(predict_batch(self.params, self.config, t, X[first]), inverse, axis=0)
 
     def score_batch(self, t: float, X) -> np.ndarray:
         dvec = self.denoiser_batch(t, X)
@@ -504,23 +504,22 @@ def sample_flip_schedule_batch(src, schedule: TimeSchedule, flips: FlipSchedule,
 
 def sample_denoise_renoise_batch(src, schedule: TimeSchedule, lam: float, n: int,
                                  rng: np.random.Generator) -> np.ndarray:
-    """n chains: at each grid time, flip every bit independently with its
-    denoiser probability (full denoise), then renoise with the forward kernel
-    to the next grid time; the final denoise output is returned."""
+    """n chains: at each grid time, flip every bit with its denoiser probability p (full
+    denoise), then renoise to the next grid time (flip probability r = (1 - alpha(u_next))/2),
+    both drawn as one flip with probability p(1 - 2r) + r; the final denoise is returned."""
     d = src.d
     X = _uniform_start(n, d, rng)
     grid = schedule.grid
-    denoised = X
     for k in range(schedule.n_steps):
         probs = src.denoiser_batch(grid[k], X)
         if not np.isfinite(probs).all():
             raise SamplerError(f"non-finite denoiser output at t={grid[k]!r}")
-        denoised = X ^ (rng.random((n, d)) < probs).astype(np.int8)
         if k < schedule.n_steps - 1:
-            u_next = src.t_f - grid[k + 1]
-            p_flip = 0.5 * (1.0 - alpha(u_next, lam))
-            X = denoised ^ (rng.random((n, d)) < p_flip).astype(np.int8)
-    return denoised
+            r = 0.5 * (1.0 - alpha(src.t_f - grid[k + 1], lam))
+            probs = probs * (1.0 - 2.0 * r)
+            probs += r
+        X ^= rng.random((n, d)) < probs
+    return X
 
 
 # --- dispatch and dump I/O ----------------------------------------------------

@@ -64,23 +64,24 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of an (n, d) array of 0/1 entries, in lexicographic
     order with column 0 first.
 
-    Rows are keyed by their packed bits, column 0 the most significant: for
-    d <= 16 as a big-endian uint16, which numpy's stable sort orders by radix
-    sort, and above that as packed-byte void keys. Returns ``first`` (the
-    index of each distinct row's first occurrence), ``inverse``
-    (``X[first][inverse]`` rebuilds ``X``) and ``counts`` (each distinct
-    row's multiplicity). An entry other than 0 or 1 raises ValueError.
+    Rows are keyed by their bits, column 0 the most significant: for d <= 16 as the
+    uint16 sum of 2^(15 - j) over set columns j (a float32 product, exact below 2^24),
+    which numpy's stable sort orders by radix sort, and above that as packed-byte void
+    keys. Returns ``first`` (the index of each distinct row's first occurrence),
+    ``inverse`` (``X[first][inverse]`` rebuilds ``X``) and ``counts`` (each distinct
+    row's multiplicity). A non-2-d input or an entry other than 0 or 1 raises ValueError.
     """
     X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("states must have shape (n, d)")
     ones = X == 1
     if np.count_nonzero(X) != np.count_nonzero(ones):
         raise ValueError("row entries must be 0 or 1")
-    packed = np.packbits(ones, axis=1)
     if X.shape[1] <= 16:
-        wide = np.zeros((X.shape[0], 2), dtype=np.uint8)
-        wide[:, :packed.shape[1]] = packed
-        keys = wide.view(">u2").ravel()
+        weights = 2.0 ** np.arange(15, 15 - X.shape[1], -1, dtype=np.float32)
+        keys = np.dot(ones, weights).astype(np.uint16)
     else:
+        packed = np.packbits(ones, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
                                           return_counts=True)

@@ -744,6 +744,64 @@ def test_denoise_renoise_recovers_sawtooth():
     assert empirical_tv(states, dist) < 0.03
 
 
+def denoise_renoise_law(src, schedule, lam):
+    """Exact law of the denoise-renoise output, built from the source's own
+    denoiser on every state: each grid step moves x to y with the product of
+    the per-bit denoise flips, then ``propagate_mass`` renoises to the next
+    grid time."""
+    states = fd.all_states(src.d)
+    moved = states[:, None, :] != states[None, :, :]
+    mass = np.full(1 << src.d, 1.0 / (1 << src.d))
+    for k in range(schedule.n_steps):
+        probs = src.denoiser_batch(schedule.grid[k], states)[:, None, :]
+        mass = mass @ np.where(moved, probs, 1.0 - probs).prod(axis=2)
+        if k < schedule.n_steps - 1:
+            mass = fd.propagate_mass(mass, src.t_f - schedule.grid[k + 1], lam)
+    return mass
+
+
+def denoise_law_sources():
+    dense = fd.DenseTable.normalized(np.random.default_rng(27).uniform(0.05, 1.0, 16))
+    return {"sawtooth-d3": exact_src(fd.sawtooth_params(3)), "dense-d4": exact_src(dense)}
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 30])
+@pytest.mark.parametrize("name", ["sawtooth-d3", "dense-d4"])
+def test_denoise_renoise_matches_chain_law(name, n_steps):
+    """One draw per bit per step (denoise and renoise folded into one flip)
+    keeps the law of the two-flip chain."""
+    src = denoise_law_sources()[name]
+    sch = fd.time_grid("cosine", n_steps, src.t_f)
+    out = fd.sample_denoise_renoise_batch(src, sch, LAM, 200_000,
+                                          np.random.default_rng([28, n_steps]))
+    counts = np.bincount(fd.state_indices(out), minlength=1 << src.d)
+    p = chi2_pvalue(counts, denoise_renoise_law(src, sch, LAM))
+    assert p > ALPHA_3SIGMA, f"denoise-renoise law rejected (p={p:.2e})"
+
+
+class ReadOnlyDenoiserSource:
+    """Returns the inner source's denoiser as a read-only array, so a sampler
+    that writes into it raises."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d, self.lam, self.t_f = inner.d, inner.lam, inner.t_f
+
+    def denoiser_batch(self, t, X):
+        probs = self.inner.denoiser_batch(t, X)
+        probs.flags.writeable = False
+        return probs
+
+
+def test_denoise_renoise_does_not_write_into_source_output():
+    src = denoise_law_sources()["dense-d4"]
+    sch = fd.time_grid("cosine", 5, src.t_f)
+    got = fd.sample_denoise_renoise_batch(ReadOnlyDenoiserSource(src), sch, LAM, 500,
+                                          np.random.default_rng(29))
+    want = fd.sample_denoise_renoise_batch(src, sch, LAM, 500, np.random.default_rng(29))
+    assert (got == want).all()
+
+
 def test_continuous_jump_count_bound():
     dist = fd.sawtooth_params(3)
     src = exact_src(dist)

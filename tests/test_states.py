@@ -199,6 +199,41 @@ def test_distinct_rows_match_byte_keys(d, dtype):
             assert a.shape == b.shape and (a == b).all()
 
 
+def packbits_distinct_rows(X):
+    """Distinct rows keyed by ``np.packbits`` of the 0/1 mask, column 0 the
+    most significant bit, read as a big-endian uint16 for d <= 16: the keys
+    the matrix-vector keys must reproduce as integers."""
+    packed = np.packbits(np.asarray(X) == 1, axis=1)
+    if X.shape[1] <= 16:
+        wide = np.zeros((X.shape[0], 2), dtype=np.uint8)
+        wide[:, :packed.shape[1]] = packed
+        keys = wide.view(">u2").ravel()
+    else:
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return first, inverse, counts
+
+
+@pytest.mark.parametrize("d", range(18))
+@pytest.mark.parametrize("dtype", [np.int8, bool, np.int64, np.float64])
+def test_distinct_rows_match_packbits_keys(d, dtype):
+    rng = np.random.default_rng(100 + d)
+    pool = rng.integers(0, 2, (min(1 << d, 60), 2 * d))
+    wide = pool[rng.integers(0, pool.shape[0], 700)].astype(dtype)
+    # a contiguous array, a non-contiguous column slice, and no rows at all
+    for rows in (np.ascontiguousarray(wide[:, :d]), wide[:, ::2], wide[:0, :d]):
+        got, want = fd.distinct_rows(rows), packbits_distinct_rows(rows)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+
+
+@pytest.mark.parametrize("shape", [(5,), (), (2, 3, 4)])
+def test_distinct_rows_rejects_non_2d_input(shape):
+    with pytest.raises(ValueError, match=r"states must have shape \(n, d\)"):
+        fd.distinct_rows(np.zeros(shape, dtype=np.int8))
+
+
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
 def test_distinct_rows_rejects_non_binary_entries(bad):
     X = np.zeros((4, 3))
