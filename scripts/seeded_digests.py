@@ -2,7 +2,7 @@
 marginal, the exact reverse law, the validate-bounds report with and without
 ``--corrupt 0.05`` (the shifted score source), the sliced Wasserstein metric, a
 sample dump's bytes and read-back, the exact dense denoiser and score,
-``propagate_mass`` at d=8, three samplers on a d=8 learned source, two
+``propagate_mass`` at d=8, three samplers on a d=8 learned source, three
 training runs, single-chain discretized draws, ``distinct_rows`` on int8 and
 float64 0/1 sets, and the denoise-renoise sampler on the d=8 learned source.
 
@@ -171,17 +171,22 @@ def learned_d8_denoise_line(src) -> str:
 
 def training_lines() -> list[str]:
     """Parameters and log rows after 200 steps: the shipped d=8 sawtooth
-    config's model, loss and optimizer, and a small model trained on all
-    three losses with weight decay, lr decay and EMA."""
+    config's model, loss and optimizer, a small model trained on all three
+    losses with weight decay, lr decay and EMA, and the same small model on
+    cross-entropy alone without the 1/w_t scaling. The last run's large
+    learning rate drives some predictions past the cross-entropy clip, so
+    its line also covers the clipped entries' zero gradient."""
     cfg = load_config(ROOT / "scripts/configs/sawtooth_d8.yaml")
     small_settings = fd.TrainSettings(steps=200, batch_size=64, lr=3e-3, weight_decay=0.01,
                                       decay_every=50, decay_rate=0.7, ema=True, ema_rate=0.95)
+    small_model = fd.ModelConfig(d=6, blocks=2, width=32, time_embed_dim=16, seed=4)
     runs = {
         "train/sawtooth_d8": (build_distribution(cfg), cfg.model, cfg.loss,
                               replace(cfg.training, steps=200), cfg.lam, cfg.t_f),
-        "train/d6-l2+e+ce-ema": (fd.sawtooth_params(6),
-                                 fd.ModelConfig(d=6, blocks=2, width=32, time_embed_dim=16, seed=4),
+        "train/d6-l2+e+ce-ema": (fd.sawtooth_params(6), small_model,
                                  fd.LossSpec(1, 1, 1, w_scaled=True), small_settings, LAM, T_F),
+        "train/d6-ce-unscaled": (fd.sawtooth_params(6), small_model, fd.LossSpec(0, 0, 1),
+                                 fd.TrainSettings(steps=200, batch_size=64, lr=0.1), LAM, T_F),
     }
     lines = []
     for name, (data, model, loss, settings, lam, t_f) in runs.items():

@@ -76,10 +76,7 @@ from .losses import (
     PRESETS,
     LossSpec,
     TrainBatch,
-    combined_loss,
-    loss_ce,
-    loss_entropy,
-    loss_l2,
+    loss_parts,
     make_batch,
     time_weight,
 )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -100,8 +101,9 @@ class RunConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ConfigError("d must be >= 1")
-        if self.t_f <= 0 or self.lam <= 0:
-            raise ConfigError("lam and t_f must be > 0")
+        if not (0 < self.lam < math.inf and 0 < self.t_f < math.inf):
+            raise ConfigError(f"lam and t_f must be finite and > 0, "
+                              f"got {self.lam!r} and {self.t_f!r}")
         if self.sampler not in SAMPLER_KINDS:
             raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}, got {self.sampler!r}")
         if self.n_samples < 1:

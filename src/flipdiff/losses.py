@@ -15,7 +15,8 @@ scale flat across timesteps; the entropy term is never rescaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +38,10 @@ class LossSpec:
     w_scaled: bool = False
 
     def __post_init__(self):
-        if min(self.w1, self.w2, self.w3) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in (self.w1, self.w2, self.w3)):
+            raise ValueError("loss weights must be finite and nonnegative")
         if self.w1 + self.w2 + self.w3 <= 0:
             raise ValueError("at least one loss weight must be positive")
-
-    def normalized(self) -> "LossSpec":
-        total = self.w1 + self.w2 + self.w3
-        return replace(self, w1=self.w1 / total, w2=self.w2 / total, w3=self.w3 / total)
 
 
 # the simplex-normalized weight combinations explored in the experiments;
@@ -116,107 +113,42 @@ def draw_clean_states(dataset: Distribution | EmpiricalSet, n: int,
     return dataset.sample(n, rng).samples
 
 
-def _coeffs(batch: TrainBatch):
-    """Per-item score coefficients (a_coef, b_coef) and time weight w_t, as columns."""
-    a_coef, b_coef = _affine_coeffs(batch.t, batch.lam, batch.t_f)
-    w = time_weight(batch.t, batch.lam, batch.t_f)
-    return a_coef[:, None], b_coef[:, None], w[:, None]
-
-
-def _weight(batch: TrainBatch, w_scaled: bool):
-    """The per-item divisor w_t of a w-scaled loss, or None."""
-    return _coeffs(batch)[2] if w_scaled else None
-
-
-def _predictions(batch: TrainBatch, model) -> np.ndarray:
-    preds = np.asarray(model(batch.t, batch.x_noised.astype(np.float64)), dtype=np.float64)
+def loss_parts(batch: TrainBatch, preds: np.ndarray, spec: LossSpec):
+    """The weighted total, the three component values (``l2``, ``e``, ``ce``)
+    and d total / d preds, for float64 predictions of shape (n, d). Every
+    component is reported; one with zero weight adds nothing to the gradient."""
     if preds.shape != batch.x0.shape:
-        raise ValueError(f"model returned shape {preds.shape}, expected {batch.x0.shape}")
-    return preds
+        raise ValueError(f"predictions have shape {preds.shape}, expected {batch.x0.shape}")
+    n_elems = preds.size
+    y = batch.flip_indicator()
+    one_minus_y = 1.0 - y
+    a_coef, b_coef = (c[:, None] for c in _affine_coeffs(batch.t, batch.lam, batch.t_f))
+    # x / 1.0 and x * 1.0 are exact, so the unscaled loss needs no branch
+    w = time_weight(batch.t, batch.lam, batch.t_f)[:, None] if spec.w_scaled else 1.0
+    inv_w = 1.0 / w
 
-
-def loss_l2(batch: TrainBatch, model, w_scaled: bool = False) -> float:
-    """Mean squared error between predictions and the flip indicator."""
-    return _l2_value(_predictions(batch, model), batch.flip_indicator(),
-                     _weight(batch, w_scaled))
-
-
-def loss_ce(batch: TrainBatch, model, w_scaled: bool = False) -> float:
-    """Mean negative log-likelihood of the flip indicators (clipped)."""
-    return _ce_value(_predictions(batch, model), batch.flip_indicator(),
-                     _weight(batch, w_scaled))
-
-
-def loss_entropy(batch: TrainBatch, model) -> float:
-    """Entropy objective on the reparameterized score; never w-scaled."""
-    a_coef, b_coef, _ = _coeffs(batch)
-    return _entropy_value(_predictions(batch, model), batch.flip_indicator(), a_coef, b_coef)
-
-
-def combined_loss(batch: TrainBatch, model, spec: LossSpec) -> float:
-    """Weighted sum of the three components per ``spec``."""
-    preds = _predictions(batch, model)
-    total, _, _ = _parts(batch, preds, spec, want_grad=False)
-    return total
-
-
-def _l2_value(preds, y, w):
-    sq = (preds - y) ** 2
-    if w is not None:
-        sq = sq / w
-    return float(sq.mean())
-
-
-def _ce_value(preds, y, w):
-    clipped = np.clip(preds, CE_CLIP, 1.0 - CE_CLIP)
-    nll = -(y * np.log(clipped) + (1.0 - y) * np.log1p(-clipped))
-    if w is not None:
-        nll = nll / w
-    return float(nll.mean())
-
-
-def _entropy_value(preds, y, a_coef, b_coef):
+    diff = preds - y
     s = a_coef - b_coef * preds
     one_minus_s = 1.0 - s
     if (one_minus_s <= 0).any():
         raise ValueError("entropy loss needs 1 - s > 0; predictions out of range")
-    f = a_coef - b_coef * y
-    term = -s + (f - 1.0) * np.log(one_minus_s)
-    return float(term.mean())
-
-
-def _parts(batch: TrainBatch, preds: np.ndarray, spec: LossSpec, want_grad: bool):
-    """Component values, the weighted total, and (optionally) d total / d preds."""
-    n_elems = preds.size
-    y = batch.flip_indicator()
-    a_coef, b_coef, w = _coeffs(batch)
-    w_div = w if spec.w_scaled else None
-
+    f_minus_1 = a_coef - b_coef * y - 1.0
+    clipped = np.clip(preds, CE_CLIP, 1.0 - CE_CLIP)
+    nll = -(y * np.log(clipped) + one_minus_y * np.log1p(-clipped))
     parts = {
-        "l2": _l2_value(preds, y, w_div),
-        "e": _entropy_value(preds, y, a_coef, b_coef),
-        "ce": _ce_value(preds, y, w_div),
+        "l2": float((diff ** 2 / w).mean()),
+        "e": float((-s + f_minus_1 * np.log(one_minus_s)).mean()),
+        "ce": float((nll / w).mean()),
     }
     total = spec.w1 * parts["l2"] + spec.w2 * parts["e"] + spec.w3 * parts["ce"]
-    if not want_grad:
-        return total, parts, None
 
-    inv_w = 1.0 / w if spec.w_scaled else np.ones_like(w)
     grad = np.zeros_like(preds)
     if spec.w1:
-        grad += spec.w1 * 2.0 * (preds - y) * inv_w / n_elems
+        grad += spec.w1 * 2.0 * diff * inv_w / n_elems
     if spec.w2:
-        s = a_coef - b_coef * preds
-        f = a_coef - b_coef * y
-        grad += spec.w2 * b_coef * (1.0 + (f - 1.0) / (1.0 - s)) / n_elems
+        grad += spec.w2 * b_coef * (1.0 + f_minus_1 / one_minus_s) / n_elems
     if spec.w3:
-        clipped = np.clip(preds, CE_CLIP, 1.0 - CE_CLIP)
         inside = (preds > CE_CLIP) & (preds < 1.0 - CE_CLIP)
-        d_nll = (-y / clipped + (1.0 - y) / (1.0 - clipped)) * inside
+        d_nll = (-y / clipped + one_minus_y / (1.0 - clipped)) * inside
         grad += spec.w3 * d_nll * inv_w / n_elems
     return total, parts, grad
-
-
-def loss_parts_and_pred_grad(batch: TrainBatch, preds: np.ndarray, spec: LossSpec):
-    """Entry point for the model's parameter-gradient chain rule."""
-    return _parts(batch, preds, spec, want_grad=True)

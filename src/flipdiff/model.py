@@ -32,6 +32,7 @@ from .errors import (
     ModelCorruptError,
     TrainingError,
 )
+from .losses import loss_parts
 
 _LN_EPS = 1e-6
 # geometric ladder of time-feature frequencies; times in this package are O(1..10)
@@ -301,13 +302,11 @@ def loss_and_grad(params: np.ndarray, config: ModelConfig, batch, loss_spec):
     prediction-space gradient through the network. It reuses one workspace
     while ``config`` and the batch size repeat; ``grad`` is a new array.
     """
-    from .losses import loss_parts_and_pred_grad
-
     if not np.isfinite(params).all():
         raise ModelCorruptError("model parameters contain NaN or infinity")
     ws = _training_workspace(config, batch.x_noised.shape[0], params.dtype)
     out = _forward(params, config, batch.t, batch.x_noised, ws).astype(np.float64, copy=False)
-    total, parts, d_out = loss_parts_and_pred_grad(batch, out, loss_spec)
+    total, parts, d_out = loss_parts(batch, out, loss_spec)
     if not np.isfinite(total):
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
         idx = int(bad[0]) if bad.size else -1
@@ -383,6 +382,10 @@ def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) 
 
 _MAGIC = b"FLIPDNZ1"
 _VERSION = 1
+# magic, version; model d, blocks, width, time_embed_dim, seed; lam, t_f; meta d;
+# w1, w2, w3; w_scaled, seed, steps; config hash (NUL-padded ASCII); parameter count.
+# The float64 parameters follow.
+_HEADER = struct.Struct("<8sI5q2dq3d3q16sq")
 
 
 @dataclass(frozen=True)
@@ -404,49 +407,43 @@ class CheckpointMeta:
 def save_checkpoint(path, params: np.ndarray, config: ModelConfig, meta: CheckpointMeta) -> None:
     if meta.d != config.d:
         raise ConfigMismatchError(f"meta d={meta.d} disagrees with model d={config.d}")
-    hash_bytes = meta.config_hash.encode("ascii")[:16].ljust(16, b"\0")
+    header = _HEADER.pack(
+        _MAGIC, _VERSION, config.d, config.blocks, config.width, config.time_embed_dim,
+        config.seed, meta.lam, meta.t_f, meta.d, meta.w1, meta.w2, meta.w3,
+        int(meta.w_scaled), meta.seed, meta.steps, meta.config_hash.encode("ascii"), params.size)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<5q", config.d, config.blocks, config.width,
-                             config.time_embed_dim, config.seed))
-        fh.write(struct.pack("<2d", meta.lam, meta.t_f))
-        fh.write(struct.pack("<q", meta.d))
-        fh.write(struct.pack("<3d", meta.w1, meta.w2, meta.w3))
-        fh.write(struct.pack("<3q", int(meta.w_scaled), meta.seed, meta.steps))
-        fh.write(hash_bytes)
-        fh.write(struct.pack("<q", params.size))
+        fh.write(header)
         fh.write(np.ascontiguousarray(params, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[np.ndarray, ModelConfig, CheckpointMeta]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    header = _MAGIC.__len__() + 4 + 5 * 8 + 2 * 8 + 8 + 3 * 8 + 3 * 8 + 16 + 8
-    if len(raw) < header:
+    if len(raw) < _HEADER.size:
         raise CheckpointFormatError("checkpoint truncated before header end")
-    if raw[:8] != _MAGIC:
+    (magic, version, d, blocks, width, embed, cfg_seed, lam, t_f, meta_d, w1, w2, w3,
+     w_scaled, seed, steps, hash_bytes, n_params) = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
         raise CheckpointFormatError("bad magic bytes; not a denoiser checkpoint")
-    (version,) = struct.unpack_from("<I", raw, 8)
     if version != _VERSION:
         raise CheckpointVersionError(f"unsupported checkpoint version {version}")
-    pos = 12
-    d, blocks, width, embed, cfg_seed = struct.unpack_from("<5q", raw, pos); pos += 40
-    lam, t_f = struct.unpack_from("<2d", raw, pos); pos += 16
-    (meta_d,) = struct.unpack_from("<q", raw, pos); pos += 8
-    w1, w2, w3 = struct.unpack_from("<3d", raw, pos); pos += 24
-    w_scaled, seed, steps = struct.unpack_from("<3q", raw, pos); pos += 24
-    config_hash = raw[pos : pos + 16].rstrip(b"\0").decode("ascii"); pos += 16
-    (n_params,) = struct.unpack_from("<q", raw, pos); pos += 8
-    config = ModelConfig(d=d, blocks=blocks, width=width, time_embed_dim=embed, seed=cfg_seed)
+    try:
+        config = ModelConfig(d=d, blocks=blocks, width=width, time_embed_dim=embed, seed=cfg_seed)
+        config_hash = hash_bytes.rstrip(b"\0").decode("ascii")
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise CheckpointFormatError(f"invalid checkpoint header: {exc}") from exc
+    if not (0 < lam < math.inf and 0 < t_f < math.inf):
+        raise CheckpointFormatError(f"checkpoint has lam={lam!r} and t_f={t_f!r}; "
+                                    "both must be finite and > 0")
     if meta_d != d:
         raise ConfigMismatchError(f"meta d={meta_d} disagrees with stored model d={d}")
     if n_params != param_count(config):
         raise CheckpointFormatError(
             f"parameter count {n_params} does not match the stored architecture")
-    body = raw[pos : pos + 8 * n_params]
-    if len(body) != 8 * n_params:
-        raise CheckpointFormatError("checkpoint truncated inside parameter block")
+    body = raw[_HEADER.size:]
+    if len(body) != 8 * n_params:  # truncated, or bytes after the parameters
+        raise CheckpointFormatError(
+            f"parameter block has {len(body)} bytes, expected {8 * n_params}")
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
     meta = CheckpointMeta(lam=lam, t_f=t_f, d=meta_d, w1=w1, w2=w2, w3=w3,
                           w_scaled=bool(w_scaled), seed=seed, steps=steps,

@@ -5,6 +5,7 @@ step."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,10 @@ class TrainSettings:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not 0 <= self.ema_rate < 1:
+            raise ValueError(f"ema_rate must be in [0, 1), got {self.ema_rate!r}")
 
 
 @dataclass

@@ -62,6 +62,30 @@ def test_config_zero_loss_weights_rejected_before_compute(tmp_path):
         fd.load_config(cfg_path)
 
 
+@pytest.mark.parametrize("overrides,match", [
+    pytest.param({"lam": float("nan")}, "lam and t_f", id="lam-nan"),
+    pytest.param({"t_f": float("inf")}, "lam and t_f", id="t_f-inf"),
+    pytest.param({"loss": {"w1": float("nan")}}, "loss weights", id="w1-nan"),
+    pytest.param({"loss": {"w3": float("inf")}}, "loss weights", id="w3-inf"),
+    pytest.param({"training": {"lr": float("nan")}}, "lr", id="lr-nan"),
+    pytest.param({"training": {"lr": 0.0}}, "lr", id="lr-zero"),
+    pytest.param({"training": {"ema_rate": 2.0}}, "ema_rate", id="ema_rate-2"),
+    pytest.param({"training": {"ema_rate": -0.1}}, "ema_rate", id="ema_rate-negative"),
+])
+def test_config_rejects_non_finite_and_out_of_range_numbers(overrides, match):
+    with pytest.raises(fd.ConfigError, match=match):
+        fd.config_from_dict({"d": 4, **overrides})
+
+
+def test_train_with_diverging_ema_rate_writes_no_checkpoint(tmp_path, capsys):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, training={"steps": 5, "batch_size": 16, "ema": True,
+                                     "ema_rate": 2.0})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "ema_rate" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
 def test_config_loss_preset(tmp_path):
     cfg_path = tmp_path / "preset.yaml"
     write_config(cfg_path, loss={"preset": "l2+ce", "w_scaled": True})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import flipdiff as fd
-from flipdiff.losses import loss_parts_and_pred_grad
+from flipdiff.losses import loss_parts
 from flipdiff.model import loss_and_grad
 
 LAM, T_F = 1.0, 3.0
@@ -34,6 +34,13 @@ def neutral_model():
     return model
 
 
+def model_parts(batch, model, spec=fd.LossSpec()):
+    """``loss_parts`` on a model callable's predictions at the batch's
+    (t, x_noised); the unweighted parts do not depend on ``spec``'s weights."""
+    preds = np.asarray(model(batch.t, batch.x_noised.astype(np.float64)), dtype=np.float64)
+    return loss_parts(batch, preds, spec)
+
+
 def make_batch(dist, n, seed):
     rng = np.random.default_rng(seed)
     x0 = dist.sample(n, rng).samples
@@ -50,25 +57,25 @@ def test_time_weight_examples():
 def test_loss_l2_zero_for_indicator_on_delta_data():
     x0 = np.array([1, 0, 1, 1], dtype=np.int8)
     batch = make_batch(fd.delta_table(x0), 200, 0)
-    assert fd.loss_l2(batch, indicator_model(x0)) == pytest.approx(0.0, abs=1e-30)
+    assert model_parts(batch, indicator_model(x0))[1]["l2"] == pytest.approx(0.0, abs=1e-30)
 
 
 def test_loss_l2_constant_half_is_quarter():
     batch = make_batch(fd.sawtooth_params(4), 300, 1)
-    assert fd.loss_l2(batch, constant_model(0.5)) == pytest.approx(0.25, abs=1e-15)
+    assert model_parts(batch, constant_model(0.5))[1]["l2"] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_loss_ce_examples():
     batch = make_batch(fd.sawtooth_params(4), 300, 2)
-    assert fd.loss_ce(batch, constant_model(0.5)) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert model_parts(batch, constant_model(0.5))[1]["ce"] == pytest.approx(np.log(2.0), abs=1e-12)
     x0 = np.array([0, 1, 0, 0], dtype=np.int8)
     delta_batch = make_batch(fd.delta_table(x0), 200, 3)
-    assert fd.loss_ce(delta_batch, indicator_model(x0)) <= 1e-10
+    assert model_parts(delta_batch, indicator_model(x0))[1]["ce"] <= 1e-10
 
 
 def test_loss_entropy_zero_for_neutral_model():
     batch = make_batch(fd.sawtooth_params(5), 400, 4)
-    assert fd.loss_entropy(batch, neutral_model()) == pytest.approx(0.0, abs=1e-12)
+    assert model_parts(batch, neutral_model())[1]["e"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_entropy_finite_on_random_models():
@@ -77,18 +84,18 @@ def test_loss_entropy_finite_on_random_models():
     for _ in range(20):
         preds = rng.uniform(1e-6, 1 - 1e-6, size=(batch.n, batch.d))
         model = lambda ts, xs, p=preds: p
-        assert np.isfinite(fd.loss_entropy(batch, model))
+        assert np.isfinite(model_parts(batch, model)[1]["e"])
 
 
 def test_combined_loss_weights():
     batch = make_batch(fd.sawtooth_params(4), 128, 7)
     model = exact_model(fd.sawtooth_params(4))
     spec_l2 = fd.LossSpec(1, 0, 0)
-    assert fd.combined_loss(batch, model, spec_l2) == fd.loss_l2(batch, model)
+    assert model_parts(batch, model, spec_l2)[0] == model_parts(batch, model)[1]["l2"]
     thirds = fd.LossSpec(1 / 3, 1 / 3, 1 / 3)
-    expected = (fd.loss_l2(batch, model) + fd.loss_entropy(batch, model)
-                + fd.loss_ce(batch, model)) / 3
-    assert fd.combined_loss(batch, model, thirds) == pytest.approx(expected, abs=1e-14)
+    parts = model_parts(batch, model)[1]
+    expected = (parts["l2"] + parts["e"] + parts["ce"]) / 3
+    assert model_parts(batch, model, thirds)[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_combined_loss_positive_homogeneity_of_gradients():
@@ -107,8 +114,8 @@ def test_w_scaled_gradient_equals_per_item_weighting():
     batch = make_batch(fd.sawtooth_params(4), 64, 10)
     rng = np.random.default_rng(11)
     preds = rng.uniform(0.05, 0.95, size=(batch.n, batch.d))
-    _, _, grad_scaled = loss_parts_and_pred_grad(batch, preds, fd.LossSpec(1, 0, 0, w_scaled=True))
-    _, _, grad_plain = loss_parts_and_pred_grad(batch, preds, fd.LossSpec(1, 0, 0))
+    _, _, grad_scaled = loss_parts(batch, preds, fd.LossSpec(1, 0, 0, w_scaled=True))
+    _, _, grad_plain = loss_parts(batch, preds, fd.LossSpec(1, 0, 0))
     inv_w = 1.0 / fd.time_weight(batch.t, LAM, T_F)
     assert np.allclose(grad_scaled, grad_plain * inv_w[:, None], rtol=1e-12, atol=1e-18)
 
@@ -125,8 +132,13 @@ def test_loss_spec_validation():
         fd.LossSpec(0, 0, 0)
     with pytest.raises(ValueError):
         fd.LossSpec(-1, 1, 1)
-    norm = fd.LossSpec(2, 1, 1).normalized()
-    assert norm.w1 == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("shape", [(64, 3), (64,), (63, 4)])
+def test_loss_parts_rejects_predictions_of_the_wrong_shape(shape):
+    batch = make_batch(fd.sawtooth_params(4), 64, 18)
+    with pytest.raises(ValueError, match="predictions have shape"):
+        loss_parts(batch, np.full(shape, 0.5), fd.LossSpec())
 
 
 def test_expected_denoiser_matches_time_weight():
@@ -157,7 +169,7 @@ def test_l2_at_exact_denoiser_equals_conditional_variance():
     x0 = dist.sample(n, rng).samples
     noised = fd.sample_conditional_batch(x0, np.full(n, T_F - t), LAM, rng)
     batch = fd.TrainBatch(x0=x0, t=np.full(n, t), x_noised=noised, lam=LAM, t_f=T_F)
-    observed = fd.loss_l2(batch, src.denoiser_rows)
+    observed = model_parts(batch, src.denoiser_rows)[1]["l2"]
     # exact E[d(1-d)] under the time-t marginal, by enumeration
     states = fd.all_states(4)
     marg = fd.marginal_table(dist, T_F - t, LAM).mass
@@ -167,18 +179,18 @@ def test_l2_at_exact_denoiser_equals_conditional_variance():
     assert abs(observed - expected) < 3 * spread / np.sqrt(n) + 2e-3
 
 
-@pytest.mark.parametrize("loss_fn", [fd.loss_l2, fd.loss_ce])
-def test_losses_minimized_at_exact_denoiser(loss_fn):
+@pytest.mark.parametrize("part", ["l2", "ce"])
+def test_losses_minimized_at_exact_denoiser(part):
     """Constant perturbations of the exact denoiser never help (statistical
     dominance on a large common batch)."""
     dist = fd.sawtooth_params(4)
     batch = make_batch(dist, 30_000, 14)
     exact = exact_model(dist)
-    base = loss_fn(batch, exact)
+    base = model_parts(batch, exact)[1][part]
     for delta in (-0.08, 0.05, 0.1):
         def perturbed(ts, xs, d=delta):
             return np.clip(exact(ts, xs) + d, 1e-9, 1 - 1e-9)
-        assert loss_fn(batch, perturbed) > base - 1e-4
+        assert model_parts(batch, perturbed)[1][part] > base - 1e-4
 
 
 def test_entropy_gradient_vanishes_at_exact_score():
@@ -194,7 +206,7 @@ def test_entropy_gradient_vanishes_at_exact_score():
     noised = fd.sample_conditional_batch(x0, T_F - t, LAM, rng)
     batch = fd.TrainBatch(x0=x0, t=t, x_noised=noised, lam=LAM, t_f=T_F)
     exact_preds = fd.ExactScoreSource(dist, LAM, T_F).denoiser_rows(batch.t, batch.x_noised)
-    _, _, grad = loss_parts_and_pred_grad(batch, exact_preds, fd.LossSpec(0, 1, 0))
+    _, _, grad = loss_parts(batch, exact_preds, fd.LossSpec(0, 1, 0))
     per_elem = grad * grad.size  # undo the 1/(n d) normalization
     for ell in range(4):
         mean = per_elem[:, ell].mean()

@@ -1,6 +1,7 @@
 """Denoiser network: forward pass, hand-written gradients, optimizer,
 checkpoint format."""
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -222,6 +223,34 @@ def test_checkpoint_cut_at_any_offset(cut):
         path.write_bytes(CHECKPOINT[:cut])
         with pytest.raises(fd.CheckpointFormatError):
             fd.load_checkpoint(path)
+
+
+# the checkpoint header: magic, version, the model config's five integers, lam,
+# t_f, meta d, w1-w3, w_scaled, seed, steps, config hash, parameter count
+HEADER = struct.Struct("<8sI5q2dq3d3q16sq")
+
+
+def _patched_header(field: int, value) -> bytes:
+    """CHECKPOINT with header field number ``field`` set to ``value``."""
+    fields = list(HEADER.unpack_from(CHECKPOINT))
+    fields[field] = value
+    return HEADER.pack(*fields) + CHECKPOINT[HEADER.size:]
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(_patched_header(3, 0), id="zero-blocks"),
+    pytest.param(_patched_header(2, -1), id="negative-d"),
+    pytest.param(_patched_header(5, 11), id="odd-time-embed-dim"),
+    pytest.param(_patched_header(16, b"abc\xff"), id="non-ascii-config-hash"),
+    pytest.param(_patched_header(7, float("nan")), id="nan-lam"),
+    pytest.param(_patched_header(8, float("inf")), id="infinite-t_f"),
+    pytest.param(CHECKPOINT + bytes(8), id="bytes-after-parameters"),
+])
+def test_checkpoint_malformed_file_is_a_format_error(tmp_path, raw):
+    path = tmp_path / "model.bin"
+    path.write_bytes(raw)
+    with pytest.raises(fd.CheckpointFormatError):
+        fd.load_checkpoint(path)
 
 
 def test_checkpoint_config_mismatch(tmp_path):

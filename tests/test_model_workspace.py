@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import flipdiff as fd
-from flipdiff.losses import PRESETS, draw_clean_states, loss_parts_and_pred_grad
+from flipdiff.losses import PRESETS, draw_clean_states, loss_parts
 from flipdiff.model import _LN_EPS, _frequencies, _training_workspace, _views, loss_and_grad
 
 LAM, T_F = 1.0, 3.0
@@ -107,7 +107,7 @@ def ref_backward(params, config, cache, d_out):
 def ref_loss_and_grad(params, config, batch, spec):
     out, cache = ref_forward(params, config, batch.t.astype(np.float64),
                              batch.x_noised.astype(np.float64))
-    total, parts, d_out = loss_parts_and_pred_grad(batch, out.astype(np.float64), spec)
+    total, parts, d_out = loss_parts(batch, out.astype(np.float64), spec)
     return total, ref_backward(params, config, cache, d_out.astype(params.dtype)), parts
 
 
