@@ -29,7 +29,6 @@ from .states import (
     ProductBernoulli,
     all_states,
     as_bits,
-    delta_table,
     distinct_rows,
     flip,
     index_to_state,
@@ -49,12 +48,10 @@ from .forward import (
     propagate_mass,
     sample_conditional_batch,
     simulate_path,
-    simulate_paths_terminal,
 )
 from .score import (
     T_MIN,
     clamp_forward_time,
-    denoiser_from_score,
     score_from_denoiser,
     score_target,
 )
@@ -90,10 +87,8 @@ from .samplers import (
     sample_continuous_batch,
     sample_denoise_renoise_batch,
     sample_discretized_batch,
-    sample_flip_schedule,
     sample_flip_schedule_batch,
     sample_percoord_batch,
-    weighted_without_replacement,
     write_samples,
 )
 from .metrics import (
@@ -113,6 +108,6 @@ from .metrics import (
     swd,
     tv_distance,
 )
-from .config import RunConfig, config_from_dict, load_config, save_config, substream
+from .config import RunConfig, config_from_dict, load_config, substream
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, sample, eval, validate-bounds, forward-diag.
-Every command takes --config (YAML) plus overriding flags; outputs carry the
-config hash so downstream commands can refuse mismatched lineage.
+Every command takes --config (YAML) and, but for forward-diag, overriding flags;
+outputs carry the config hash so downstream commands can refuse mismatched lineage.
 """
 
 from __future__ import annotations
@@ -369,7 +369,8 @@ def _parser() -> argparse.ArgumentParser:
                                      help="numerically check the convergence bounds"))
     p_bounds.add_argument("--corrupt", type=float, default=0.0,
                           help="inflate backward rates by this amount (fault injection)")
-    p_diag = common(sub.add_parser("forward-diag", help="print kernel/marginal tables"))
+    p_diag = sub.add_parser("forward-diag", help="print kernel/marginal tables")
+    p_diag.add_argument("--config", help="YAML run configuration")
     p_diag.add_argument("--times", default="0.1,1.0,3.0",
                         help="comma-separated inspection times")
     return parser
@@ -378,7 +379,7 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         # model.seed was fixed when the config was built; the flag sets it too
         overrides["seed"] = args.seed
         overrides["model"] = dataclasses.replace(config.model, seed=args.seed)

@@ -101,6 +101,8 @@ class RunConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ConfigError("d must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not (0 < self.lam < math.inf and 0 < self.t_f < math.inf):
             raise ConfigError(f"lam and t_f must be finite and > 0, "
                               f"got {self.lam!r} and {self.t_f!r}")
@@ -121,8 +123,7 @@ class RunConfig:
         return self.flips.total if self.flips.total is not None else self.d
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, default=str)
@@ -167,9 +168,6 @@ def _build_section(name: str, cls, payload: dict, top: dict):
         # as for a config without a model section, d and seed come from the top
         payload.setdefault("d", top.get("d", RunConfig.d))
         payload.setdefault("seed", top.get("seed", RunConfig.seed))
-    for key in ("probs", "dims", "k_values", "tv_dims"):
-        if key in payload and payload[key] is not None:
-            payload[key] = tuple(payload[key])
     try:
         return cls(**payload)
     except ConfigError:
@@ -205,11 +203,6 @@ def load_config(path) -> RunConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     return config_from_dict(raw)
-
-
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
 
 
 def substream(master_seed: int, name: str) -> np.random.Generator:

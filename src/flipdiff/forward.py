@@ -144,31 +144,3 @@ def simulate_path(x0, params: ForwardParams, rng: np.random.Generator) -> Forwar
     times = np.sort(rng.uniform(0.0, params.t_f, size=n_jumps))
     coords = rng.integers(0, d, size=n_jumps)
     return ForwardPath(x0=bits, jump_times=times, jump_coords=coords)
-
-
-def simulate_paths_terminal(x0, params: ForwardParams, n: int, rng: np.random.Generator,
-                            eval_times=None) -> np.ndarray:
-    """States of n independent paths at the requested times (default: t_f).
-
-    Returns an array of shape (len(eval_times), n, d). Equivalent in law to
-    calling ``simulate_path`` n times and reading ``state_at``; vectorized for
-    Monte-Carlo validation at scale.
-    """
-    bits = as_bits(x0)
-    d = bits.size
-    if eval_times is None:
-        eval_times = [params.t_f]
-    eval_times = np.asarray(eval_times, dtype=np.float64)
-    counts = rng.poisson(d * params.lam * params.t_f, size=n)
-    total = int(counts.sum())
-    times = rng.uniform(0.0, params.t_f, size=total)
-    coords = rng.integers(0, d, size=total)
-    path_of_jump = np.repeat(np.arange(n), counts)
-    out = np.empty((eval_times.size, n, d), dtype=np.int8)
-    for k, t in enumerate(eval_times):
-        live = times <= t
-        flips = np.zeros((n, d), dtype=np.int64)
-        np.add.at(flips, (path_of_jump[live], coords[live]), 1)
-        out[k] = bits ^ (flips & 1).astype(np.int8)
-    return out
-

@@ -162,12 +162,6 @@ class BoundReport:
             return None
         return self.bound - self.measured_kl
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["bound"] = self.bound
-        payload["slack"] = self.slack
-        return json.dumps(payload, sort_keys=True)
-
 
 def kl_convergence_bound(kl_init: float, beta: float, tau: float, eps: float,
                          t_f: float, eta: float = 0.0,
@@ -332,14 +326,6 @@ class ScoreErrorEstimate:
     std_error: float
     per_step: np.ndarray
     per_step_se: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "eps_max": self.eps_max,
-            "std_error": self.std_error,
-            "per_step": self.per_step.tolist(),
-            "per_step_se": self.per_step_se.tolist(),
-        }, sort_keys=True)
 
 
 def estimate_score_error(approx_src, exact_src, schedule: TimeSchedule, lam: float,

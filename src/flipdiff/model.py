@@ -37,6 +37,7 @@ from .losses import loss_parts
 _LN_EPS = 1e-6
 # geometric ladder of time-feature frequencies; times in this package are O(1..10)
 _FREQ_LO, _FREQ_HI = 0.25, 64.0
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class ModelConfig:
         for name in ("d", "blocks", "width", "time_embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.time_embed_dim % 2:
             raise ValueError("time_embed_dim must be even (sin/cos feature pairs)")
 
@@ -316,31 +319,20 @@ def loss_and_grad(params: np.ndarray, config: ModelConfig, batch, loss_spec):
 
 @dataclass
 class OptimizerState:
-    """AdamW accumulator state with an optional step-wise learning-rate decay."""
+    """AdamW accumulator state: the steps taken and the two moments."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    decay_every: int = 0      # 0 disables the step decay
-    decay_rate: float = 1.0
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     # the bias-corrected first moment, rewritten by every step
     _m_hat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def current_lr(self) -> float:
-        if self.decay_every <= 0:
-            return self.lr
-        return self.lr * self.decay_rate ** (self.step // self.decay_every)
 
-
-def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) -> np.ndarray:
-    """One decoupled-weight-decay Adam update; returns the new parameters and
-    updates ``state.m`` and ``state.v`` in place. A float32 gradient is
-    upcast to the parameters' dtype first."""
+def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState, lr: float,
+                   weight_decay: float = 0.0) -> np.ndarray:
+    """One decoupled-weight-decay Adam update at learning rate ``lr``; returns
+    the new parameters and updates ``state.m`` and ``state.v`` in place. A
+    float32 gradient is upcast to the parameters' dtype first."""
     if grad.shape != params.shape:
         raise ValueError("gradient and parameter shapes differ")
     grad = grad.astype(params.dtype, copy=False)
@@ -353,24 +345,23 @@ def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) 
         if np.shape(moment) != params.shape:
             raise TrainingError(f"optimizer state {name} has shape {np.shape(moment)}, "
                                 f"parameters have shape {params.shape}")
-    lr = state.current_lr()
     state.step += 1
     m, v = state.m, state.v
     if state._m_hat is None or state._m_hat.shape != params.shape:
         state._m_hat = np.empty_like(params)
     new, m_hat = np.empty_like(params), state._m_hat
-    m *= state.beta1
-    m += np.multiply(grad, 1.0 - state.beta1, out=new)
-    v *= state.beta2
-    v += np.multiply(np.multiply(grad, 1.0 - state.beta2, out=new), grad, out=new)
-    np.divide(m, 1.0 - state.beta1**state.step, out=m_hat)
-    v_hat = np.divide(v, 1.0 - state.beta2**state.step, out=new)
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=new)
+    v *= BETA2
+    v += np.multiply(np.multiply(grad, 1.0 - BETA2, out=new), grad, out=new)
+    np.divide(m, 1.0 - BETA1**state.step, out=m_hat)
+    v_hat = np.divide(v, 1.0 - BETA2**state.step, out=new)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += state.eps
+    v_hat += ADAM_EPS
     step = m_hat
     step /= v_hat
-    if state.weight_decay:  # adding params * 0 = ±0 leaves params - lr * step unchanged
-        step += np.multiply(params, state.weight_decay, out=new)
+    if weight_decay:  # adding params * 0 = ±0 leaves params - lr * step unchanged
+        step += np.multiply(params, weight_decay, out=new)
     step *= lr
     np.subtract(params, step, out=new)
     if not np.isfinite(new).all():

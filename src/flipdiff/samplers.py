@@ -25,10 +25,7 @@ generator, so output sets are deterministic given (seed, n); one chain is
 n = 1. The continuous-time samplers score proposals at per-chain times
 (``score_rows``); the others query one time per call (``score_batch``). The
 discretized and flip-schedule samplers share one clock loop on the score
-held per grid interval, which updates its per-step arrays in place. The
-single-chain ``sample_flip_schedule`` runs the loop
-with a sequential without-replacement draw, the reference the batch form's
-exponential races are tested against.
+held per grid interval, which updates its per-step arrays in place.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from .errors import SampleFormatError, SamplerError
 from .forward import alpha, propagate_mass  # noqa: F401
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
-from .score import RATE_TOL, T_MIN, _check_rates, denoiser_from_score, score_from_denoiser
+from .score import RATE_TOL, T_MIN, _check_rates, score_from_denoiser
 from .states import (Distribution, EmpiricalSet, ProductBernoulli, distinct_rows, flip_index,
                      state_indices)
 
@@ -236,8 +233,7 @@ class LearnedScoreSource:
 
 class ShiftedScoreSource:
     """Fault-injection wrapper: inflates every backward rate by a constant,
-    i.e. replaces 1 - s with (1 - s) + rate_bump; the denoiser is the one of
-    the shifted score."""
+    i.e. replaces 1 - s with (1 - s) + rate_bump."""
 
     def __init__(self, inner, rate_bump: float):
         self.inner = inner
@@ -249,13 +245,6 @@ class ShiftedScoreSource:
 
     def score_rows(self, ts, X):
         return self.inner.score_rows(ts, X) - self.rate_bump
-
-    def denoiser_batch(self, t, X):
-        return denoiser_from_score(self.score_batch(t, X), t, self.lam, self.t_f)
-
-    def denoiser_rows(self, ts, X):
-        ts = np.asarray(ts, dtype=np.float64)
-        return denoiser_from_score(self.score_rows(ts, X), ts[:, None], self.lam, self.t_f)
 
 
 def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
@@ -289,22 +278,6 @@ def _categorical_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarr
         raise SamplerError("cannot draw a flip coordinate: all rates vanished")
     u = rng.random(weights.shape[0]) * cum[:, -1]
     return (u[:, None] < cum).argmax(axis=1)
-
-
-def weighted_without_replacement(weights, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Sequential weighted sampling without replacement: draw, remove, renormalize."""
-    w = np.array(weights, dtype=np.float64)
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
-    m_eff = min(m, int((w > 0).sum()))
-    chosen = np.empty(m_eff, dtype=np.int64)
-    for i in range(m_eff):
-        cum = np.cumsum(w)
-        j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        j = min(j, w.size - 1)
-        chosen[i] = j
-        w[j] = 0.0
-    return chosen
 
 
 def _uniform_start(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -471,17 +444,6 @@ def sample_discretized_batch(src, schedule: TimeSchedule, lam: float, n: int,
 
     X, recorded = _clock_loop(src, schedule, lam, n, rng, one_coordinate, record_grid)
     return (X, recorded) if record_grid else X
-
-
-def sample_flip_schedule(src, schedule: TimeSchedule, flips: FlipSchedule, lam: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """One chain of the flip-schedule sampler: a crossing in interval k flips
-    counts[k] distinct coordinates, drawn by ``weighted_without_replacement``."""
-    def sequential(w, k, rng):
-        chosen = weighted_without_replacement(w[0], min(int(flips.counts[k]), src.d), rng)
-        return np.zeros_like(chosen), chosen
-
-    return _clock_loop(src, schedule, lam, 1, rng, sequential)[0][0]
 
 
 def sample_flip_schedule_batch(src, schedule: TimeSchedule, flips: FlipSchedule,

@@ -76,10 +76,3 @@ def score_from_denoiser(dvec, t, lam: float, t_f: float):
     """Map denoiser values in [0,1] to score components (1 - s stays >= 0)."""
     a_coef, b_coef = _affine_coeffs(t, lam, t_f)
     return a_coef - b_coef * np.asarray(dvec, dtype=np.float64)
-
-
-def denoiser_from_score(svec, t, lam: float, t_f: float):
-    """Inverse of ``score_from_denoiser``."""
-    a_coef, b_coef = _affine_coeffs(t, lam, t_f)
-    return (a_coef - np.asarray(svec, dtype=np.float64)) / b_coef
-

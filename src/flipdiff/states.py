@@ -126,12 +126,6 @@ class ProductBernoulli:
     def d(self) -> int:
         return self.probs.size
 
-    def prob(self, x) -> float:
-        bits = as_bits(x)
-        if bits.size != self.d:
-            raise ValueError(f"state has d={bits.size}, distribution has d={self.d}")
-        return float(np.prod(np.where(bits == 1, self.probs, 1.0 - self.probs)))
-
     def sample(self, n: int, rng: np.random.Generator) -> "EmpiricalSet":
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -180,12 +174,6 @@ class DenseTable:
     def d(self) -> int:
         return self.mass.size.bit_length() - 1
 
-    def prob(self, x) -> float:
-        bits = as_bits(x)
-        if bits.size != self.d:
-            raise ValueError(f"state has d={bits.size}, table has d={self.d}")
-        return float(self.mass[state_index(bits)])
-
     def sample(self, n: int, rng: np.random.Generator) -> "EmpiricalSet":
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -232,14 +220,6 @@ Distribution = ProductBernoulli | DenseTable
 def uniform_table(d: int) -> DenseTable:
     check_enum_limit(d)
     return DenseTable(np.full(1 << d, 1.0 / (1 << d)))
-
-
-def delta_table(x0) -> DenseTable:
-    bits = as_bits(x0)
-    check_enum_limit(bits.size)
-    mass = np.zeros(1 << bits.size)
-    mass[state_index(bits)] = 1.0
-    return DenseTable(mass)
 
 
 def sawtooth_params(d: int, low: float = 0.05, high: float = 0.95) -> ProductBernoulli:

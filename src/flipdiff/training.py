@@ -46,6 +46,12 @@ class TrainSettings:
         if not 0 <= self.ema_rate < 1:
             raise ValueError(f"ema_rate must be in [0, 1), got {self.ema_rate!r}")
 
+    def lr_at(self, step: int) -> float:
+        """``lr`` after ``step`` steps, times ``decay_rate`` per ``decay_every`` steps (if > 0)."""
+        if self.decay_every <= 0:
+            return self.lr
+        return self.lr * self.decay_rate ** (step // self.decay_every)
+
 
 @dataclass
 class TrainResult:
@@ -78,10 +84,7 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
     continues across checkpoints.
     """
     params = init_params(model_config) if init is None else init.copy()
-    state = opt_state or OptimizerState(
-        lr=settings.lr, weight_decay=settings.weight_decay,
-        decay_every=settings.decay_every, decay_rate=settings.decay_rate,
-        step=start_step)
+    state = opt_state or OptimizerState(step=start_step)
     ema_params = params.copy() if settings.ema else None
     ema_step = np.empty_like(params) if settings.ema else None
     rows: list[tuple] = []
@@ -93,7 +96,8 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
             raise TrainingError(
                 f"training diverged at step {step}: loss={total!r} "
                 f"(l2={parts['l2']!r}, e={parts['e']!r}, ce={parts['ce']!r})")
-        params = optimizer_step(params, grad, state)
+        params = optimizer_step(params, grad, state, settings.lr_at(state.step),
+                                settings.weight_decay)
         if ema_params is not None:
             ema_params *= settings.ema_rate
             ema_params += np.multiply(params, 1.0 - settings.ema_rate, out=ema_step)

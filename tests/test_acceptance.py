@@ -12,6 +12,7 @@ import pytest
 
 import flipdiff as fd
 from _stats import assert_uniform_chi2
+from _reference import delta_table, simulate_paths_terminal
 
 LAM = 1.0
 
@@ -29,13 +30,13 @@ def test_c01_forward_kernel_monte_carlo():
     x0 = np.array([1, 0, 1, 0], dtype=np.int8)
     params = fd.ForwardParams(lam=LAM, t_f=t_f)
     times = (0.1, 0.7, 3.0)
-    states = fd.simulate_paths_terminal(x0, params, 100_000, np.random.default_rng(101),
-                                        eval_times=times)
+    states = simulate_paths_terminal(x0, params, 100_000, np.random.default_rng(101),
+                                     eval_times=times)
     worst = 0.0
     ok = True
     for k, t in enumerate(times):
         counts = np.bincount(fd.state_indices(states[k]), minlength=1 << d)
-        probs = fd.marginal_table(fd.delta_table(x0), t, LAM).mass
+        probs = fd.marginal_table(delta_table(x0), t, LAM).mass
         freq = counts / counts.sum()
         sigma = np.sqrt(probs * (1 - probs) / counts.sum())
         dev = np.abs(freq - probs) / sigma
@@ -258,7 +259,7 @@ def test_c09_denoise_renoise_sanity():
     """One denoise cycle on point-mass data returns the data point surely;
     uniform data passes the chi-squared uniformity check at 3 sigma."""
     x0 = np.array([1, 0, 1], dtype=np.int8)
-    delta_src = fd.ExactScoreSource(fd.delta_table(x0), LAM, 3.0)
+    delta_src = fd.ExactScoreSource(delta_table(x0), LAM, 3.0)
     one_step = fd.time_grid("cosine", 1, 3.0)
     outs = fd.sample_denoise_renoise_batch(delta_src, one_step, LAM, 2000,
                                            np.random.default_rng(901))

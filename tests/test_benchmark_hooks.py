@@ -29,3 +29,16 @@ def test_benchmark_imports_and_wraps_package_names(monkeypatch):
     finally:
         for name in MODULES:
             sys.modules.pop(name, None)
+
+
+def test_train_workload_carries_the_optimizer_state_across_chunks(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workload = importlib.import_module("workloads").TrainD8(PERFBENCH.parent, 0, tmp_path)
+        workload.setup()
+        for index in range(2):
+            assert workload.check("train", workload.op("train", index, None)) == []
+        assert workload.opt_state.step == workload.step == 2 * workload.chunk_steps
+    finally:
+        for name in MODULES:
+            sys.modules.pop(name, None)

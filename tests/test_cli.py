@@ -40,7 +40,7 @@ def test_config_roundtrip_identity(tmp_path):
     assert config == again
     assert config.config_hash() == again.config_hash()
     saved = tmp_path / "echo.yaml"
-    fd.save_config(config, saved)
+    saved.write_text(yaml.safe_dump(config.to_dict(), sort_keys=True))
     assert fd.load_config(saved) == config
 
 
@@ -71,6 +71,11 @@ def test_config_zero_loss_weights_rejected_before_compute(tmp_path):
     pytest.param({"training": {"lr": 0.0}}, "lr", id="lr-zero"),
     pytest.param({"training": {"ema_rate": 2.0}}, "ema_rate", id="ema_rate-2"),
     pytest.param({"training": {"ema_rate": -0.1}}, "ema_rate", id="ema_rate-negative"),
+    pytest.param({"seed": -1}, "seed", id="seed-negative"),
+    pytest.param({"model": {"seed": -1}}, "seed", id="model-seed-negative"),
+    pytest.param({"bounds": {"dims": 3}}, "bounds", id="bounds-dims-scalar"),
+    pytest.param({"dataset": {"kind": "product", "probs": 0.5}}, "dataset",
+                 id="dataset-probs-scalar"),
 ])
 def test_config_rejects_non_finite_and_out_of_range_numbers(overrides, match):
     with pytest.raises(fd.ConfigError, match=match):
@@ -84,6 +89,14 @@ def test_train_with_diverging_ema_rate_writes_no_checkpoint(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "ema_rate" in capsys.readouterr().err
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+def test_train_with_negative_seed_flag_is_refused(tmp_path, capsys):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path)
+    assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_loss_preset(tmp_path):
@@ -439,3 +452,10 @@ def test_forward_diag_prints_tables(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "single-bit kernel" in text
     assert "marginal" in text
+
+
+@pytest.mark.parametrize("flag", ["--out", "--seed"])
+def test_forward_diag_refuses_flags_it_would_ignore(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["forward-diag", flag, "1"])
+    assert exc.value.code == 2

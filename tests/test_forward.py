@@ -5,6 +5,7 @@ import pytest
 
 import flipdiff as fd
 from _stats import assert_freq_within, chi2_pvalue, ALPHA_3SIGMA
+from _reference import delta_table, simulate_paths_terminal
 
 LN2_HALF = np.log(2.0) / 2.0
 
@@ -55,7 +56,7 @@ def test_marginal_identity_at_zero():
 
 def test_marginal_converges_to_uniform():
     x0 = np.array([1, 0, 1])
-    out = fd.marginal_table(fd.delta_table(x0), 40.0, 1.0)
+    out = fd.marginal_table(delta_table(x0), 40.0, 1.0)
     assert np.allclose(out.mass, 1 / 8, atol=1e-12)
 
 
@@ -63,7 +64,7 @@ def test_marginal_brute_force_d1():
     # sum over z of mu0(z) * kernel(z, x): p=0.9, alpha=0.5 -> mu_t(1) = 0.7
     mu0 = fd.DenseTable(np.array([0.1, 0.9]))
     out = fd.marginal_table(mu0, LN2_HALF, 1.0)
-    brute = sum(mu0.prob([z]) * fd.kernel1(z, 1, LN2_HALF, 1.0) for z in (0, 1))
+    brute = sum(mu0.mass[fd.state_index([z])] * fd.kernel1(z, 1, LN2_HALF, 1.0) for z in (0, 1))
     assert brute == pytest.approx(0.7)
     assert out.mass[1] == pytest.approx(brute, abs=1e-15)
 
@@ -158,7 +159,7 @@ def test_sample_conditional_matches_marginal_tv():
     n = 100_000
     draws = fd.sample_conditional_batch(np.tile(x0, (n, 1)), np.full(n, 0.6), 1.0, rng)
     emp = fd.EmpiricalSet(draws).counts_table()
-    exact = fd.marginal_table(fd.delta_table(x0), 0.6, 1.0)
+    exact = fd.marginal_table(delta_table(x0), 0.6, 1.0)
     assert fd.tv_distance(emp, exact) < 0.02
 
 
@@ -197,9 +198,9 @@ def test_mean_jump_count_d1_and_general():
 def test_terminal_law_matches_kernel_marginal():
     params = fd.ForwardParams(lam=1.0, t_f=3.0)
     x0 = np.array([1, 0, 1], dtype=np.int8)
-    states = fd.simulate_paths_terminal(x0, params, 100_000, np.random.default_rng(9))[0]
+    states = simulate_paths_terminal(x0, params, 100_000, np.random.default_rng(9))[0]
     emp = fd.EmpiricalSet(states).counts_table()
-    exact = fd.marginal_table(fd.delta_table(x0), params.t_f, params.lam)
+    exact = fd.marginal_table(delta_table(x0), params.t_f, params.lam)
     assert fd.tv_distance(emp, exact) < 0.02
 
 
@@ -209,8 +210,8 @@ def test_single_and_vectorized_paths_agree():
     rng = np.random.default_rng(10)
     n = 4000
     singles = np.stack([fd.simulate_path(x0, params, rng).terminal for _ in range(n)])
-    vector = fd.simulate_paths_terminal(x0, params, n, rng)[0]
-    exact = fd.marginal_table(fd.delta_table(x0), params.t_f, params.lam).mass
+    vector = simulate_paths_terminal(x0, params, n, rng)[0]
+    exact = fd.marginal_table(delta_table(x0), params.t_f, params.lam).mass
     for states in (singles, vector):
         counts = np.bincount(fd.state_indices(states), minlength=4)
         assert chi2_pvalue(counts, exact) > ALPHA_3SIGMA

@@ -7,6 +7,7 @@ import pytest
 import flipdiff as fd
 from flipdiff.losses import loss_parts
 from flipdiff.model import loss_and_grad
+from _reference import delta_table
 
 LAM, T_F = 1.0, 3.0
 LN2_HALF = np.log(2.0) / 2.0
@@ -56,7 +57,7 @@ def test_time_weight_examples():
 
 def test_loss_l2_zero_for_indicator_on_delta_data():
     x0 = np.array([1, 0, 1, 1], dtype=np.int8)
-    batch = make_batch(fd.delta_table(x0), 200, 0)
+    batch = make_batch(delta_table(x0), 200, 0)
     assert model_parts(batch, indicator_model(x0))[1]["l2"] == pytest.approx(0.0, abs=1e-30)
 
 
@@ -69,7 +70,7 @@ def test_loss_ce_examples():
     batch = make_batch(fd.sawtooth_params(4), 300, 2)
     assert model_parts(batch, constant_model(0.5))[1]["ce"] == pytest.approx(np.log(2.0), abs=1e-12)
     x0 = np.array([0, 1, 0, 0], dtype=np.int8)
-    delta_batch = make_batch(fd.delta_table(x0), 200, 3)
+    delta_batch = make_batch(delta_table(x0), 200, 3)
     assert model_parts(delta_batch, indicator_model(x0))[1]["ce"] <= 1e-10
 
 

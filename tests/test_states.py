@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import flipdiff as fd
 from _stats import assert_freq_within, multinomial_bands_ok
+from _reference import delta_table
 
 
 def test_flip_first_coordinate():
@@ -72,19 +73,6 @@ def test_sawtooth_d16_shape():
     assert switches == 1 and diffs[0] > 0 and diffs[-1] < 0
 
 
-def test_prob_examples():
-    assert fd.ProductBernoulli([0.9]).prob([1]) == pytest.approx(0.9)
-    assert fd.uniform_table(3).prob([1, 0, 1]) == pytest.approx(0.125)
-    assert fd.ProductBernoulli([0.9, 0.2]).prob([1, 0]) == pytest.approx(0.72)
-
-
-def test_prob_dimension_mismatch():
-    with pytest.raises(ValueError):
-        fd.ProductBernoulli([0.5, 0.5]).prob([1])
-    with pytest.raises(ValueError):
-        fd.uniform_table(2).prob([1, 0, 1])
-
-
 @given(st.integers(1, 8), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_prob_sums_to_one(d, seed):
@@ -93,7 +81,8 @@ def test_prob_sums_to_one(d, seed):
     table = fd.DenseTable.normalized(rng.uniform(0.0, 1.0, size=1 << d) + 1e-9)
     states = fd.all_states(d)
     for dist in (product, table):
-        total = sum(dist.prob(x) for x in states)
+        mass = dist.to_table().mass
+        total = sum(mass[fd.state_index(x)] for x in states)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -102,7 +91,8 @@ def test_table_from_product_matches_pointwise():
     product = fd.ProductBernoulli(rng.uniform(0.05, 0.95, size=6))
     table = product.to_table()
     for x in fd.all_states(6)[::7]:
-        assert abs(table.prob(x) - product.prob(x)) < 1e-15
+        pointwise = np.prod(np.where(x == 1, product.probs, 1.0 - product.probs))
+        assert abs(table.mass[fd.state_index(x)] - pointwise) < 1e-15
 
 
 def test_product_bernoulli_rejects_degenerate():
@@ -135,7 +125,7 @@ def test_sample_extreme_bit_frequency():
 
 def test_sample_from_delta_table():
     x0 = np.array([1, 0, 1], dtype=np.int8)
-    draws = fd.delta_table(x0).sample(500, np.random.default_rng(1))
+    draws = delta_table(x0).sample(500, np.random.default_rng(1))
     assert (draws.samples == x0).all()
 
 

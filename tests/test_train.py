@@ -1,11 +1,14 @@
 """Training loop: determinism, convergence behavior, divergence guard, and
 oracle-approach diagnostics."""
 
+import copy
+
 import numpy as np
 import pytest
 
 import flipdiff as fd
 import flipdiff.training as train_mod
+from _reference import delta_table
 
 LAM, T_F = 1.0, 3.0
 TINY = fd.ModelConfig(d=4, blocks=2, width=32, time_embed_dim=16, seed=0)
@@ -36,7 +39,7 @@ def test_log_csv_format(tmp_path):
 
 def test_delta_data_drives_l2_down():
     x0 = np.array([1, 0, 1, 1], dtype=np.int8)
-    dataset = fd.delta_table(x0)
+    dataset = delta_table(x0)
     settings = fd.TrainSettings(steps=2000, batch_size=128, lr=3e-3)
     res = fd.train(dataset, TINY, fd.LossSpec(1, 0, 0), settings, LAM, T_F,
                    np.random.default_rng(1))
@@ -60,6 +63,18 @@ def test_resume_continues_step_numbering():
     second = fd.train(dist, TINY, spec, settings, LAM, T_F, np.random.default_rng(4),
                       init=first.params, opt_state=first.opt_state, start_step=10)
     assert [row[0] for row in second.log_rows] == list(range(10, 20))
+
+
+def test_resume_takes_the_learning_rate_of_the_resumed_run():
+    dist = fd.sawtooth_params(4)
+    spec = fd.LossSpec(1, 0, 0)
+    first = fd.train(dist, TINY, spec, fd.TrainSettings(steps=10, batch_size=16, lr=1e-3),
+                     LAM, T_F, np.random.default_rng(3))
+    resumed = [fd.train(dist, TINY, spec, fd.TrainSettings(steps=5, batch_size=16, lr=lr),
+                        LAM, T_F, np.random.default_rng(4), init=first.params,
+                        opt_state=copy.deepcopy(first.opt_state), start_step=10).params
+               for lr in (1e-3, 1e-2)]
+    assert not np.array_equal(*resumed)
 
 
 def test_divergence_aborts(monkeypatch):
