@@ -30,7 +30,7 @@ from .metrics import (
     swd,
     tv_distance,
 )
-from .model import CheckpointMeta, load_checkpoint, save_checkpoint
+from .model import CheckpointMeta, check_compatible, load_checkpoint, save_checkpoint
 from .samplers import (
     ExactScoreSource,
     LearnedScoreSource,
@@ -82,8 +82,6 @@ def build_distribution(config: RunConfig) -> Distribution:
 def load_training_data(config: RunConfig):
     """Distribution (resampled during training) or the fixed empirical set."""
     if config.dataset.kind == "empirical-file":
-        if config.dataset.path is None:
-            raise ConfigError("dataset.kind=empirical-file requires dataset.path")
         return read_samples(config.dataset.path)
     return build_distribution(config)
 
@@ -107,7 +105,7 @@ def cmd_gen_data(config: RunConfig, out: str | None) -> int:
     if config.dataset.kind == "empirical-file":
         rng = substream(config.seed, "gen-data")
         samples = dist.sample(config.dataset.n_train, rng)
-        target = Path(config.dataset.path) if config.dataset.path else out_dir / "dataset_samples.txt"
+        target = Path(config.dataset.path)
         write_samples(target, samples.samples, {
             "config_hash": config.config_hash(),
             "dataset_hash": config.dataset_hash(), "d": config.d,
@@ -128,6 +126,7 @@ def cmd_train(config: RunConfig, out: str | None, resume: str | None) -> int:
         params, model_config, meta = load_checkpoint(resume)
         if model_config != config.model:
             raise ConfigError("resume checkpoint architecture differs from the config")
+        check_compatible(meta, d=config.d, lam=config.lam, t_f=config.t_f)
         init, start_step = params, meta.steps
     result = train(dataset, config.model, config.loss, config.training,
                    lam=config.lam, t_f=config.t_f, rng=rng, init=init,

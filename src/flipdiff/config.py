@@ -23,6 +23,19 @@ from .training import TrainSettings
 DATASET_KINDS = ("sawtooth", "product", "table-file", "empirical-file")
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse a bool or a non-integer where an integer is expected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_int_fields(cls, payload: dict, prefix: str = "") -> None:
+    """``_check_int`` on every field of ``payload`` that ``cls`` declares an int."""
+    for f in fields(cls):
+        if f.type in ("int", "int | None") and payload.get(f.name) is not None:
+            _check_int(prefix + f.name, payload[f.name])
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     kind: str = "sawtooth"
@@ -35,8 +48,8 @@ class DatasetSpec:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         if self.kind == "product" and self.probs is None:
             raise ConfigError("dataset.kind=product requires dataset.probs")
-        if self.kind == "table-file" and self.path is None:
-            raise ConfigError("dataset.kind=table-file requires dataset.path")
+        if self.kind in ("table-file", "empirical-file") and self.path is None:
+            raise ConfigError(f"dataset.kind={self.kind} requires dataset.path")
         if self.probs is not None:
             object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
 
@@ -76,9 +89,11 @@ class BoundsSpec:
     tv_dims: tuple = (2, 4, 6)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
-        object.__setattr__(self, "k_values", tuple(int(v) for v in self.k_values))
-        object.__setattr__(self, "tv_dims", tuple(int(v) for v in self.tv_dims))
+        for name in ("dims", "k_values", "tv_dims"):
+            values = tuple(getattr(self, name))
+            for v in values:
+                _check_int(f"bounds.{name}", v)
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -168,6 +183,7 @@ def _build_section(name: str, cls, payload: dict, top: dict):
         # as for a config without a model section, d and seed come from the top
         payload.setdefault("d", top.get("d", RunConfig.d))
         payload.setdefault("seed", top.get("seed", RunConfig.seed))
+    _check_int_fields(cls, payload, f"{name}.")
     try:
         return cls(**payload)
     except ConfigError:
@@ -183,6 +199,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - top_fields
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    _check_int_fields(RunConfig, raw)
     kwargs = {}
     for key, value in raw.items():
         if key in _SECTION_TYPES:

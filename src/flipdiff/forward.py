@@ -66,10 +66,16 @@ def alpha(t, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _kernel_matrix(t: float, lam: float) -> np.ndarray:
+    """The single-bit transition matrix, entry [a, b] = p_t(a, b)."""
+    a_t = alpha(t, lam)
+    stay, move = 0.5 + 0.5 * a_t, 0.5 - 0.5 * a_t
+    return np.array([[stay, move], [move, stay]])
+
+
 def kernel1(a: int, b: int, t: float, lam: float) -> float:
     """Single-bit transition probability over elapsed time t."""
-    a_t = alpha(t, lam)
-    return 0.5 + 0.5 * a_t if a == b else 0.5 - 0.5 * a_t
+    return float(_kernel_matrix(t, lam)[a, b])
 
 
 def kernel(x, y, t: float, lam: float) -> float:
@@ -77,15 +83,7 @@ def kernel(x, y, t: float, lam: float) -> float:
     xb, yb = as_bits(x), as_bits(y)
     if xb.size != yb.size:
         raise ValueError(f"dimension mismatch: {xb.size} vs {yb.size}")
-    a_t = alpha(t, lam)
-    agree = xb == yb
-    return float(np.prod(np.where(agree, 0.5 + 0.5 * a_t, 0.5 - 0.5 * a_t)))
-
-
-def _kernel_matrix(t: float, lam: float) -> np.ndarray:
-    a_t = alpha(t, lam)
-    stay, move = 0.5 + 0.5 * a_t, 0.5 - 0.5 * a_t
-    return np.array([[stay, move], [move, stay]])
+    return float(np.prod(_kernel_matrix(t, lam)[xb, yb]))
 
 
 def propagate_mass(mass: np.ndarray, t: float, lam: float) -> np.ndarray:

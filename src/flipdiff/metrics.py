@@ -13,11 +13,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, EnumerationLimitError, FlipdiffError, PlanningError
+from .errors import AssumptionViolationError, EnumerationLimitError, PlanningError
 from .forward import alpha, propagate_mass
 from .samplers import sample_discretized_batch
 from .schedules import TimeSchedule
-from .score import _check_rates
+from .score import backward_rates
 from .states import (DenseTable, Distribution, EmpiricalSet, ProductBernoulli, all_states,
                      distinct_rows, flip_index, index_to_state)
 
@@ -61,8 +61,8 @@ def simplex_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
-def swd(a: EmpiricalSet, b: EmpiricalSet, n_dirs: int = 1000,
-        rng: np.random.Generator | None = None) -> SWDEstimate:
+def swd(a: EmpiricalSet, b: EmpiricalSet, n_dirs: int = 1000, *,
+        rng: np.random.Generator) -> SWDEstimate:
     """Sliced Wasserstein distance between two sample sets.
 
     Directions are uniform on the simplex; each projection x -> <u, x> lands
@@ -76,7 +76,6 @@ def swd(a: EmpiricalSet, b: EmpiricalSet, n_dirs: int = 1000,
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
     if n_dirs < 1:
         raise ValueError(f"n_dirs must be >= 1, got {n_dirs}")
-    rng = rng or np.random.default_rng()
     dirs = simplex_directions(a.d, n_dirs, rng)
     # each distinct state of either set is projected once and weighted by
     # n_b*(its count in a) - n_a*(its count in b); in projected order the
@@ -221,14 +220,13 @@ def plan_early_stop(eps: float, d: int, lam: float, kl_init: float) -> tuple[flo
     return eta, h, k_f
 
 
-def _uniformized_step(mass: np.ndarray, rates: np.ndarray, h: float,
-                      tail: float = UNIFORMIZATION_TAIL) -> np.ndarray:
+def _uniformized_step(mass: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
     """Propagate a mass vector through exp(h*Q) where Q has off-diagonal
     entries rates[x, l] toward the coordinate-l flip of x.
 
     Uniformization: exp(hQ) = sum_k Pois(k; a) P^k with P = I + Q/rate_max,
-    truncated when the remaining Poisson mass drops below ``tail`` and then
-    renormalized (the exact result conserves mass).
+    truncated when the remaining Poisson mass drops below UNIFORMIZATION_TAIL
+    and then renormalized (the exact result conserves mass).
     """
     d = rates.shape[1]
     exit_rate = rates.sum(axis=1)
@@ -255,7 +253,7 @@ def _uniformized_step(mass: np.ndarray, rates: np.ndarray, h: float,
     term = mass
     acc = weight * mass
     k = 0
-    while cum < 1.0 - tail:
+    while cum < 1.0 - UNIFORMIZATION_TAIL:
         term = apply_p(term)
         k += 1
         weight *= a / k
@@ -270,10 +268,10 @@ def exact_backward_marginal(src, schedule: TimeSchedule, lam: float) -> DenseTab
 
     Starts from the uniform distribution and propagates the full 2^d vector
     by uniformization, so d is capped at EXACT_BACKWARD_LIMIT. The grid's
-    (time, state) rows go through ``score_rows`` in blocks of whole steps, at
-    most EXACT_BACKWARD_BLOCK_ROWS rows (one step if 2^d is more), and each
-    block's rates are validated as the samplers validate them: a non-finite
-    rate raises SamplerError and a negative one InvalidScoreError, naming the
+    (time, state) rows go through ``backward_rates`` in blocks of whole
+    steps, at most EXACT_BACKWARD_BLOCK_ROWS rows (one step if 2^d is more),
+    so they are validated as the samplers' rates are: a non-finite rate
+    raises SamplerError and a negative one InvalidScoreError, naming the
     first bad grid time.
     """
     d = src.d
@@ -285,14 +283,8 @@ def exact_backward_marginal(src, schedule: TimeSchedule, lam: float) -> DenseTab
     mass = np.full(size, 1.0 / size)
     n_blocks = -(-n_steps // max(1, EXACT_BACKWARD_BLOCK_ROWS // size))
     for ks in np.array_split(np.arange(n_steps), n_blocks):
-        scores = src.score_rows(np.repeat(grid[ks], size), np.tile(states, (ks.size, 1)))
-        rates = (lam * (1.0 - scores)).reshape(ks.size, size, d)
-        try:
-            rates = _check_rates(rates, lam)
-        except FlipdiffError:  # re-check step by step to name the first bad time
-            for k, step in zip(ks, rates):
-                _check_rates(step, lam, grid[k])
-            raise
+        rates = backward_rates(src, np.repeat(grid[ks], size), np.tile(states, (ks.size, 1)),
+                               lam).reshape(ks.size, size, d)
         for k, step in zip(ks, rates):
             mass = _uniformized_step(mass, step, grid[k + 1] - grid[k])
     return DenseTable(mass)

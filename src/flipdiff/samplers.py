@@ -40,7 +40,7 @@ from .errors import SampleFormatError, SamplerError
 from .forward import alpha, propagate_mass  # noqa: F401
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
-from .score import RATE_TOL, T_MIN, _check_rates, score_from_denoiser
+from .score import RATE_TOL, T_MIN, backward_rates, score_from_denoiser
 from .states import (Distribution, EmpiricalSet, ProductBernoulli, distinct_rows, flip_index,
                      state_indices)
 
@@ -119,15 +119,16 @@ class ExactScoreSource:
             out += shells[h][where] * (stay_pow[d - h] * move_pow)
         return out
 
-    def _mass_terms(self, u, X, moved: bool):
-        """(here, other) at a scalar forward time or one per row: ``here`` is
-        mu_u at each row's state, and ``other`` holds per coordinate l either
-        mu_u at the state's l-flip (the score is 1 - other/here) or, when
-        ``moved``, the part of ``here`` carried from sources whose bit l
-        differs (the denoiser is other/here). A dense law at a scalar time
-        builds the marginal over all states once and looks rows up in it;
-        either way every value comes from the same ``_marginal_mass`` terms,
-        so the two agree bit for bit."""
+    def _mass_terms(self, t, X, moved: bool):
+        """(here, other) at a scalar backward time or one per row: ``here``
+        is mu_u at each row's state, u = t_f - t, and ``other`` holds per
+        coordinate l either mu_u at the state's l-flip (the score is
+        1 - other/here) or, when ``moved``, the part of ``here`` carried
+        from sources whose bit l differs (the denoiser is other/here). A
+        dense law at a scalar time builds the marginal over all states once
+        and looks rows up in it; either way every value comes from the same
+        ``_marginal_mass`` terms, so the two agree bit for bit."""
+        X, u = self._check(X), self._forward_time(t)
         if isinstance(self.dist, ProductBernoulli):
             a_u, q1 = self._product_marginal(u)
             here = np.where(X == 1, q1, 1.0 - q1)
@@ -157,15 +158,13 @@ class ExactScoreSource:
     def score_batch(self, t: float, X) -> np.ndarray:
         """Score at one time for every row of ``X``, built from one table per
         call; bit-identical to ``score_rows`` with that time repeated."""
-        X = self._check(X)
-        u = self._forward_time(t)
         if not isinstance(self.dist, ProductBernoulli):
-            here, flipped = self._mass_terms(u, X, moved=False)
-            return 1.0 - flipped / here
+            return self.score_rows(t, X)
         # entry (c, b) is the score of coordinate c reading bit b, from the
         # same arithmetic as score_rows; each column takes its entries by
         # the rows' bits, with no n x d integer index
-        _, q1 = self._product_marginal(u)
+        X = self._check(X)
+        _, q1 = self._product_marginal(self._forward_time(t))
         p = np.stack([1.0 - q1, q1], axis=1)
         table = 1.0 - (1.0 - p) / p
         out = np.empty(X.shape)
@@ -179,13 +178,11 @@ class ExactScoreSource:
     # --- per-row times ---------------------------------------------------
 
     def score_rows(self, ts, X) -> np.ndarray:
-        X = self._check(X)
-        here, flipped = self._mass_terms(self._forward_time(ts), X, moved=False)
+        here, flipped = self._mass_terms(ts, X, moved=False)
         return 1.0 - flipped / here
 
     def denoiser_rows(self, ts, X) -> np.ndarray:
-        X = self._check(X)
-        here, moved = self._mass_terms(self._forward_time(ts), X, moved=True)
+        here, moved = self._mass_terms(ts, X, moved=True)
         return moved / here
 
 
@@ -221,8 +218,6 @@ class LearnedScoreSource:
         (``distinct_rows``) is evaluated once, and the results are scattered
         back in the caller's row order."""
         X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"states must have shape (n, {self.d})")
         first, inverse, _ = distinct_rows(X)
         return np.take(predict_batch(self.params, self.config, t, X[first]), inverse, axis=0)
 
@@ -247,14 +242,6 @@ class ShiftedScoreSource:
         return self.inner.score_rows(ts, X) - self.rate_bump
 
 
-def _rate_rows(src, t: float, X, lam: float) -> np.ndarray:
-    """Backward flip rates lam*(1 - s) for a batch, computed in place in the
-    fresh array ``score_batch`` returns and validated by ``_check_rates``."""
-    rates = src.score_batch(t, X)
-    np.subtract(1.0, rates, out=rates)
-    return _check_rates(np.multiply(rates, lam, out=rates), lam, t)
-
-
 def _row_totals(rates: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row sums of an (n, d) rate array, adding the columns left to right,
     into ``out`` if given.
@@ -272,10 +259,8 @@ def _row_totals(rates: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _categorical_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One category per row, proportional to nonnegative row weights."""
+    """One category per row, proportional to nonnegative weights with a positive sum."""
     cum = np.cumsum(weights, axis=1)
-    if (cum[:, -1] <= 0).any():
-        raise SamplerError("cannot draw a flip coordinate: all rates vanished")
     u = rng.random(weights.shape[0]) * cum[:, -1]
     return (u[:, None] < cum).argmax(axis=1)
 
@@ -336,7 +321,7 @@ def _thinning_flips(src, X, rows, t, coords, accept, lam: float) -> np.ndarray:
     scored = ~flip
     if scored.any():
         r, floor, t_scored = r[scored], floor[scored], t[scored]
-        rates = _check_rates(lam * (1.0 - src.score_rows(t_scored, X[rows[scored]])), lam)
+        rates = backward_rates(src, t_scored, X[rows[scored]], lam)
         rate = rates[np.arange(r.size), coords[scored]]
         ratio = rate / r
         if (ratio > 1.0 + RATE_TOL).any():
@@ -421,7 +406,7 @@ def _clock_loop(src, schedule: TimeSchedule, lam: float, n: int, rng: np.random.
     for k in range(schedule.n_steps):
         if record_grid:
             recorded.append(X.copy())
-        rates = _rate_rows(src, grid[k], X, lam)
+        rates = backward_rates(src, grid[k], X, lam)
         _row_totals(rates, out=total)
         accum += np.multiply(total, grid[k + 1] - grid[k], out=step)
         crossed = (accum > thresh) & (total > 0)

@@ -12,8 +12,9 @@ related coordinatewise by the affine map implemented in
 ``score_from_denoiser``; samplers need only 1 - s^l >= 0.
 
 The exact values for an enumerable data law come from one implementation,
-``samplers.ExactScoreSource``. Backward rates are validated once, in
-``_check_rates``, for the rate-driven samplers and the exact backward marginal.
+``samplers.ExactScoreSource``. A score becomes a backward rate lam*(1 - s) in
+one place, ``backward_rates``, which validates it, for the rate-driven
+samplers and the exact backward marginal.
 """
 
 from __future__ import annotations
@@ -32,7 +33,17 @@ T_MIN = 1e-4
 RATE_TOL = 1e-9
 
 
-def _check_rates(rates: np.ndarray, lam: float, t=None) -> np.ndarray:
+def backward_rates(src, t, X, lam: float) -> np.ndarray:
+    """Backward flip rates lam*(1 - s) of the rows of ``X`` at backward time
+    ``t``: one time for all rows (``score_batch``) or one per row
+    (``score_rows``). Computed in place in the fresh array the source
+    returns and validated by ``_check_rates``, whose errors name the time."""
+    rates = src.score_rows(t, X) if np.ndim(t) else src.score_batch(t, X)
+    np.subtract(1.0, rates, out=rates)
+    return _check_rates(np.multiply(rates, lam, out=rates), lam, t)
+
+
+def _check_rates(rates: np.ndarray, lam: float, t) -> np.ndarray:
     """Validate backward rates lam*(1 - s): all finite and none below
     -lam*RATE_TOL; negatives within that tolerance are clamped to 0."""
     if rates.size == 0:
@@ -42,10 +53,14 @@ def _check_rates(rates: np.ndarray, lam: float, t=None) -> np.ndarray:
     finite = np.isfinite(lo) and np.isfinite(hi)
     if finite and lo >= -lam * RATE_TOL:
         return np.maximum(rates, 0.0) if lo < 0 else rates
-    where = "" if t is None else f" at t={t!r}"
+    if np.ndim(t):  # one time per row: judge the rows at the first bad row's time
+        t = np.asarray(t)
+        ok = np.isfinite(rates) & (rates >= -lam * RATE_TOL)
+        first = t[np.argmin(ok.reshape(len(t), -1).all(axis=1))]
+        _check_rates(rates[t == first], lam, first)
     if not finite:
-        raise SamplerError(f"non-finite backward rate{where}")
-    raise InvalidScoreError(f"negative backward rate{where}")
+        raise SamplerError(f"non-finite backward rate at t={t!r}")
+    raise InvalidScoreError(f"negative backward rate at t={t!r}")
 
 
 def clamp_forward_time(u):

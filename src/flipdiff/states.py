@@ -41,8 +41,7 @@ def flip(x, coord: int) -> np.ndarray:
 
 def state_index(x) -> int:
     """Pack a state into its table index (bit i of the integer = component i)."""
-    bits = as_bits(x)
-    return int(np.dot(bits.astype(np.int64), 1 << np.arange(bits.size, dtype=np.int64)))
+    return int(state_indices(as_bits(x)[None])[0])
 
 
 def state_indices(states: np.ndarray) -> np.ndarray:
@@ -88,24 +87,23 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, inverse, counts
 
 
-def index_to_state(index: int, d: int) -> np.ndarray:
-    if not 0 <= index < (1 << d):
+def index_to_state(index, d: int) -> np.ndarray:
+    """The state at table index ``index``, or one per entry of an index array."""
+    index = np.asarray(index, dtype=np.int64)
+    if ((index < 0) | (index >= 1 << d)).any():
         raise ValueError(f"index {index} out of range for d={d}")
-    return ((index >> np.arange(d)) & 1).astype(np.int8)
+    return ((index[..., None] >> np.arange(d)) & 1).astype(np.int8)
 
 
 def all_states(d: int) -> np.ndarray:
     """All 2^d states as an (2^d, d) array, row i being the state with index i."""
     check_enum_limit(d)
-    idx = np.arange(1 << d, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(d)) & 1).astype(np.int8)
+    return index_to_state(np.arange(1 << d), d)
 
 
-def check_enum_limit(d: int, limit: int = ENUM_LIMIT) -> None:
-    if d > limit:
-        raise EnumerationLimitError(
-            f"operation needs a 2^{d} table; refusing d > {limit}"
-        )
+def check_enum_limit(d: int) -> None:
+    if d > ENUM_LIMIT:
+        raise EnumerationLimitError(f"operation needs a 2^{d} table; refusing d > {ENUM_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,7 @@ class DenseTable:
         if n < 1:
             raise ValueError("n must be >= 1")
         idx = rng.choice(self.mass.size, size=n, p=self.mass)
-        states = ((idx[:, None] >> np.arange(self.d)) & 1).astype(np.int8)
-        return EmpiricalSet(states)
+        return EmpiricalSet(index_to_state(idx, self.d))
 
     def to_table(self) -> "DenseTable":
         return self
@@ -222,18 +219,18 @@ def uniform_table(d: int) -> DenseTable:
     return DenseTable(np.full(1 << d, 1.0 / (1 << d)))
 
 
-def sawtooth_params(d: int, low: float = 0.05, high: float = 0.95) -> ProductBernoulli:
-    """Triangle-wave Bernoulli parameters: rise ``low``->``high`` then back down.
+def sawtooth_params(d: int) -> ProductBernoulli:
+    """Triangle-wave Bernoulli parameters: rise 0.05 -> 0.95 then back down.
 
     The peak sits at index d//2 (0-based); d=2 degenerates to the plain
-    ramp (low, high).
+    ramp (0.05, 0.95).
     """
     if d < 2:
         raise ValueError("sawtooth pattern needs d >= 2")
     peak = d // 2
     probs = np.empty(d)
-    probs[: peak + 1] = np.linspace(low, high, peak + 1)
+    probs[: peak + 1] = np.linspace(0.05, 0.95, peak + 1)
     if peak < d - 1:
-        probs[peak:] = np.linspace(high, low, d - peak)
+        probs[peak:] = np.linspace(0.95, 0.05, d - peak)
     return ProductBernoulli(probs)
 

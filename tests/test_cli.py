@@ -76,6 +76,14 @@ def test_config_zero_loss_weights_rejected_before_compute(tmp_path):
     pytest.param({"bounds": {"dims": 3}}, "bounds", id="bounds-dims-scalar"),
     pytest.param({"dataset": {"kind": "product", "probs": 0.5}}, "dataset",
                  id="dataset-probs-scalar"),
+    pytest.param({"seed": 1.5}, "seed", id="seed-fraction"),
+    pytest.param({"d": 4.0}, "d must be an integer", id="d-float"),
+    pytest.param({"d": True}, "d must be an integer", id="d-bool"),
+    pytest.param({"n_samples": 2.5}, "n_samples", id="n_samples-fraction"),
+    pytest.param({"training": {"steps": 2.5}}, "training.steps", id="training-steps-fraction"),
+    pytest.param({"bounds": {"dims": [2.5]}}, "bounds.dims", id="bounds-dims-fraction"),
+    pytest.param({"dataset": {"kind": "empirical-file"}}, "requires dataset.path",
+                 id="empirical-file-without-path"),
 ])
 def test_config_rejects_non_finite_and_out_of_range_numbers(overrides, match):
     with pytest.raises(fd.ConfigError, match=match):
@@ -248,6 +256,20 @@ def test_train_resume_continues_numbering(tmp_path):
     assert rows[0].split(",")[0] == "60"
     _, _, meta = fd.load_checkpoint(out / "checkpoint.bin")
     assert meta.steps == 120
+
+
+@pytest.mark.parametrize("changed", [{"lam": 2.0}, {"t_f": 2.0}], ids=["lam", "t_f"])
+def test_train_resume_refuses_a_checkpoint_of_another_process(tmp_path, capsys, changed):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, training={"steps": 5, "batch_size": 16, "lr": 1e-3})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    first = ckpt.read_bytes()
+    other = tmp_path / "other.yaml"
+    write_config(other, training={"steps": 5, "batch_size": 16, "lr": 1e-3}, **changed)
+    assert main(["train", "--config", str(other), "--resume", str(ckpt)]) == 2
+    assert f"run wants {next(iter(changed))}=2.0" in capsys.readouterr().err
+    assert ckpt.read_bytes() == first
 
 
 def test_train_seed_flag_reaches_model_seed(tmp_path):

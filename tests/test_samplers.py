@@ -1,7 +1,9 @@
 """Backward samplers: fixed points, law recovery, cross-sampler agreement,
 grid contracts, and dump I/O."""
 
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ class ConstantScoreSource:
 
     def score_batch(self, t, X):
         return np.tile(self.svec, (np.asarray(X).shape[0], 1))
+
+    def score_rows(self, ts, X):
+        return self.score_batch(ts, X)
 
     def denoiser_batch(self, t, X):
         raise NotImplementedError
@@ -286,22 +291,41 @@ def test_rate_rows_validation():
     def rates_for(rate):
         # a constant score whose backward rate lam * (1 - s) is `rate` in coordinate 1
         src = ConstantScoreSource(np.array([0.5, 1.0 - rate / lam]), lam, 3.0)
-        return fd.samplers._rate_rows(src, 1.0, X, lam)
+        return fd.score.backward_rates(src, 1.0, X, lam)
 
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(fd.SamplerError):
             rates_for(bad)
     mixed = ConstantScoreSource(np.array([np.nan, 1e6]), lam, 3.0)  # NaN beside rate -2.5e6
     with pytest.raises(fd.SamplerError):
-        fd.samplers._rate_rows(mixed, 1.0, X, lam)
+        fd.score.backward_rates(mixed, 1.0, X, lam)
     with pytest.raises(fd.InvalidScoreError):
         rates_for(-1e-3 * lam)
     clamped = rates_for(-1e-12 * lam)
     assert (clamped[:, 1] == 0.0).all() and (clamped[:, 0] == 0.5 * lam).all()
     ok = ConstantScoreSource(np.array([0.5, -0.25]), lam, 3.0)
-    assert (fd.samplers._rate_rows(ok, 1.0, X, lam) == lam * (1.0 - ok.svec)).all()
-    empty = fd.samplers._rate_rows(ok, 1.0, np.zeros((0, 2), dtype=np.int8), lam)
+    assert (fd.score.backward_rates(ok, 1.0, X, lam) == lam * (1.0 - ok.svec)).all()
+    empty = fd.score.backward_rates(ok, 1.0, np.zeros((0, 2), dtype=np.int8), lam)
     assert empty.shape == (0, 2)
+    # one time per row goes through score_rows; row 3 holds a negative rate
+    # and row 5, later, a NaN: the error is row 3's, at its own time
+    ts, scores = np.linspace(0.5, 2.5, 6), np.full((6, 2), 0.5)
+    scores[3, 1], scores[5, 0] = 1.0 + 1e-3, np.nan
+    rows = SimpleNamespace(score_rows=lambda ts, X: scores.copy())
+    with pytest.raises(fd.InvalidScoreError, match=re.escape(f"at t={ts[3]!r}")):
+        fd.score.backward_rates(rows, ts, X[[0] * 6], lam)
+    scores[3, 1] = 0.5
+    with pytest.raises(fd.SamplerError, match=re.escape(f"at t={ts[5]!r}")):
+        fd.score.backward_rates(rows, ts, X[[0] * 6], lam)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "percoord", "discrete", "flip"])
+def test_non_finite_rate_error_names_its_backward_time(kind):
+    sch = fd.time_grid("linear", 10, 3.0)
+    nan_src = ConstantScoreSource(np.full(3, np.nan), LAM, 3.0)
+    with pytest.raises(fd.SamplerError, match=r"non-finite backward rate at t=np\.float64\("):
+        fd.generate(kind, nan_src, 50, np.random.default_rng(43), schedule=sch,
+                    flips=fd.flip_counts("linear", sch, 3))
 
 
 @st.composite
@@ -317,8 +341,10 @@ def dense_law_and_time(draw):
 def test_exact_rates_are_valid_and_match_backward_rates(case):
     dist, t = case
     src, X = exact_src(dist), fd.all_states(dist.d)
-    rates = fd.samplers._rate_rows(src, t, X, LAM)
+    rates = fd.score.backward_rates(src, t, X, LAM)
     assert np.isfinite(rates).all() and (rates >= 0).all()
+    per_row = fd.score.backward_rates(src, np.full(X.shape[0], t), X, LAM)
+    assert per_row.tobytes() == rates.tobytes()
 
 
 def test_row_totals_match_numpy_row_sums():

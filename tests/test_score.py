@@ -155,10 +155,10 @@ def test_exact_score_zero_mass_state_errors():
 
 def test_backward_rates_invalid_score():
     with pytest.raises(fd.InvalidScoreError):
-        fd.score._check_rates(1.0 - np.array([1.5, 0.0]), 1.0)
+        fd.score._check_rates(1.0 - np.array([1.5, 0.0]), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_backward_rates_rejects_non_finite_score(bad):
     with pytest.raises(fd.SamplerError):
-        fd.score._check_rates(1.0 - np.array([bad, 0.0]), 1.0)
+        fd.score._check_rates(1.0 - np.array([bad, 0.0]), 1.0, 1.0)
