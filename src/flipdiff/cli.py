@@ -120,8 +120,7 @@ def cmd_train(config: RunConfig, out: str | None, resume: str | None) -> int:
     out_dir = _out_dir(config, out)
     dataset = load_training_data(config)
     rng = substream(config.seed, "train")
-    init = opt_state = None
-    start_step = 0
+    init, start_step = None, 0
     if resume:
         params, model_config, meta = load_checkpoint(resume)
         if model_config != config.model:
@@ -129,8 +128,7 @@ def cmd_train(config: RunConfig, out: str | None, resume: str | None) -> int:
         check_compatible(meta, d=config.d, lam=config.lam, t_f=config.t_f)
         init, start_step = params, meta.steps
     result = train(dataset, config.model, config.loss, config.training,
-                   lam=config.lam, t_f=config.t_f, rng=rng, init=init,
-                   opt_state=opt_state, start_step=start_step,
+                   lam=config.lam, t_f=config.t_f, rng=rng, init=init, start_step=start_step,
                    log_path=out_dir / "training_log.csv")
     meta = CheckpointMeta(lam=config.lam, t_f=config.t_f, d=config.d,
                           w1=config.loss.w1, w2=config.loss.w2, w3=config.loss.w3,

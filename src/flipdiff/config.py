@@ -15,9 +15,11 @@ import yaml
 
 from .errors import ConfigError
 from .losses import PRESETS, LossSpec
+from .metrics import EXACT_BACKWARD_LIMIT
 from .model import ModelConfig
 from .samplers import SAMPLER_KINDS
 from .schedules import FLIP_KINDS, TIME_KINDS
+from .states import ENUM_LIMIT
 from .training import TrainSettings
 
 DATASET_KINDS = ("sawtooth", "product", "table-file", "empirical-file")
@@ -89,11 +91,24 @@ class BoundsSpec:
     tv_dims: tuple = (2, 4, 6)
 
     def __post_init__(self):
-        for name in ("dims", "k_values", "tv_dims"):
+        # the KL sweep runs the exact backward law, the TV sweep 2^d tables
+        for name, top in (("dims", EXACT_BACKWARD_LIMIT), ("k_values", math.inf),
+                          ("tv_dims", ENUM_LIMIT)):
             values = tuple(getattr(self, name))
             for v in values:
                 _check_int(f"bounds.{name}", v)
+                if not 1 <= v <= top:
+                    raise ConfigError(f"bounds.{name} entries must be in [1, {top}], got {v!r}")
+            if not values and name != "tv_dims":
+                raise ConfigError(f"bounds.{name} must not be empty")
             object.__setattr__(self, name, values)
+        for name in ("n_instances", "eta_points"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"bounds.{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("eta_max", "t_f"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"bounds.{name} must be finite and > 0, "
+                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,14 @@
 All samplers start from the uniform distribution on {0,1}^d and run backward
 time from 0 to the schedule horizon, driven by a score source:
 
-- ``sample_continuous_batch``: exact thinning: proposals from a Poisson
-  clock on the envelope d*R(u), R = lam*coth(lam*u) in forward time u,
-  drawn by inverting the envelope's integral in closed form, each on a
-  uniform coordinate and accepted with probability rate/R; those whose
-  acceptance uniform falls below lam*tanh(lam*u)/R, which every valid rate
-  reaches, flip unscored,
-- ``sample_percoord_batch``: exact thinning with one Poisson clock on R(u)
-  per coordinate; each chain takes its earliest pending proposal and
-  redraws only that clock. Both continuous-time samplers accept through one
-  step (``_thinning_flips``),
+- ``sample_continuous_batch`` and ``sample_percoord_batch``: exact thinning
+  in one loop (``_thinning_loop``) on Poisson clocks in forward time u,
+  one clock on the envelope d*R(u), R = lam*coth(lam*u), proposing a
+  uniform coordinate, or one clock on R(u) per coordinate; each proposal
+  time comes from inverting the envelope's integral in closed form, and
+  each chain takes its earliest pending proposal, accepted with probability
+  rate/R (``_thinning_flips``); those whose acceptance uniform falls below
+  lam*tanh(lam*u)/R, which every valid rate reaches, flip unscored,
 - ``sample_discretized_batch``: piecewise-constant score with a carried rate
   accumulator; at most one flip per grid interval,
 - ``sample_flip_schedule_batch``: as above but flipping a scheduled number
@@ -337,56 +335,49 @@ def _thinning_flips(src, X, rows, t, coords, accept, lam: float) -> np.ndarray:
     return flip
 
 
-def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | None = None,
-                            return_jump_counts: bool = False):
-    """Exact continuous-time sampling across n chains by thinning.
-
-    Each round, every unfinished chain draws its next proposal on the
-    envelope d*R(u), R = lam*coth(lam_s*max(u, T_MIN)), in closed form
-    (``_next_proposal``), then a uniform coordinate and an acceptance
-    uniform, which ``_thinning_flips`` accepts or not. Returns the
-    final states and, with ``return_jump_counts``, the flips per chain.
-    """
+def _thinning_loop(src, n: int, rng: np.random.Generator, lam: float | None, clocks: int):
+    """Exact thinning across n chains with ``clocks`` Poisson clocks each on
+    the envelope (d/clocks)*R(u), R = lam*coth(lam_s*max(u, T_MIN)) in
+    forward time u; ``u`` holds each clock's next proposal (``_next_proposal``).
+    Each round, every unfinished chain takes its earliest proposal (largest
+    u), on a uniform coordinate for one clock or on the clock's own for d,
+    which ``_thinning_flips`` accepts or not, and redraws only that clock: the
+    envelope does not depend on the state. A chain whose earliest proposal
+    lies past the horizon is done. Returns the states and the flips per chain."""
     lam = src.lam if lam is None else lam
     d, lam_s, t_f = src.d, src.lam, src.t_f
     X = _uniform_start(n, d, rng)
     jumps = np.zeros(n, dtype=np.int64)
-    live, t = np.arange(n), np.zeros(n)
+    live = np.arange(n)
+    u = _next_proposal(np.full((n, clocks), t_f), rng.exponential(size=(n, clocks)),
+                       d // clocks, lam, lam_s)
     while live.size:
-        t = t_f - _next_proposal(t_f - t, rng.exponential(size=live.size), d, lam, lam_s)
-        live, t = live[t < t_f], t[t < t_f]
-        coords = rng.integers(0, d, size=live.size)
+        clock = np.argmax(u, axis=1)
+        t = t_f - u[np.arange(live.size), clock]
+        keep = t < t_f
+        live, u, clock, t = live[keep], u[keep], clock[keep], t[keep]
+        coords = rng.integers(0, d, size=live.size) if clocks == 1 else clock
         flip = _thinning_flips(src, X, live, t, coords, rng.random(live.size), lam)
         jumps[live[flip]] += 1
+        at = (np.arange(live.size), clock)
+        u[at] = _next_proposal(u[at], rng.exponential(size=live.size), d // clocks, lam, lam_s)
+    return X, jumps
+
+
+def sample_continuous_batch(src, n: int, rng: np.random.Generator, lam: float | None = None,
+                            return_jump_counts: bool = False):
+    """Exact continuous-time sampling: one clock per chain on d*R, proposing
+    a uniform coordinate (``_thinning_loop``). Returns the final states and,
+    with ``return_jump_counts``, the flips per chain."""
+    X, jumps = _thinning_loop(src, n, rng, lam, 1)
     return (X, jumps) if return_jump_counts else X
 
 
 def sample_percoord_batch(src, n: int, rng: np.random.Generator,
                           lam: float | None = None) -> np.ndarray:
-    """Exact per-coordinate Poisson clocks across n chains.
-
-    Each coordinate proposes on its own envelope R(u) = lam*coth(lam_s*
-    max(u, T_MIN)); every chain holds the forward time of each coordinate's
-    next proposal. Each round, every unfinished chain takes its earliest
-    pending proposal (the largest forward time), which ``_thinning_flips``
-    accepts or not, and redraws only that coordinate's clock from it. The
-    envelope does not depend on the state, so a flip restarts no clock. A
-    chain whose earliest proposal lies past the horizon is done.
-    """
-    lam = src.lam if lam is None else lam
-    d, lam_s, t_f = src.d, src.lam, src.t_f
-    X = _uniform_start(n, d, rng)
-    live = np.arange(n)
-    u = _next_proposal(np.full((n, d), t_f), rng.exponential(size=(n, d)), 1, lam, lam_s)
-    while live.size:
-        coords = np.argmax(u, axis=1)
-        t = t_f - u[np.arange(live.size), coords]
-        keep = t < t_f
-        live, u, coords, t = live[keep], u[keep], coords[keep], t[keep]
-        _thinning_flips(src, X, live, t, coords, rng.random(live.size), lam)
-        at = (np.arange(live.size), coords)
-        u[at] = _next_proposal(u[at], rng.exponential(size=live.size), 1, lam, lam_s)
-    return X
+    """Exact per-coordinate Poisson clocks: d clocks per chain on R each
+    (``_thinning_loop``), equal in law to one clock on d*R."""
+    return _thinning_loop(src, n, rng, lam, src.d)[0]
 
 
 # --- discretized samplers ---------------------------------------------------

@@ -45,6 +45,12 @@ class TrainSettings:
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if not 0 <= self.ema_rate < 1:
             raise ValueError(f"ema_rate must be in [0, 1), got {self.ema_rate!r}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        if self.decay_every < 0:
+            raise ValueError(f"decay_every must be >= 0, got {self.decay_every!r}")
+        if not 0 < self.decay_rate < math.inf:
+            raise ValueError(f"decay_rate must be finite and > 0, got {self.decay_rate!r}")
 
     def lr_at(self, step: int) -> float:
         """``lr`` after ``step`` steps, times ``decay_rate`` per ``decay_every`` steps (if > 0)."""

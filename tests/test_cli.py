@@ -84,10 +84,38 @@ def test_config_zero_loss_weights_rejected_before_compute(tmp_path):
     pytest.param({"bounds": {"dims": [2.5]}}, "bounds.dims", id="bounds-dims-fraction"),
     pytest.param({"dataset": {"kind": "empirical-file"}}, "requires dataset.path",
                  id="empirical-file-without-path"),
+    pytest.param({"bounds": {"eta_points": 0}}, "bounds.eta_points", id="bounds-eta_points-zero"),
+    pytest.param({"bounds": {"dims": []}}, "bounds.dims", id="bounds-dims-empty"),
+    pytest.param({"bounds": {"dims": [12]}}, "bounds.dims", id="bounds-dims-above-limit"),
+    pytest.param({"bounds": {"dims": [0]}}, "bounds.dims", id="bounds-dims-zero"),
+    pytest.param({"bounds": {"n_instances": -1}}, "bounds.n_instances",
+                 id="bounds-n_instances-negative"),
+    pytest.param({"bounds": {"k_values": []}}, "bounds.k_values", id="bounds-k_values-empty"),
+    pytest.param({"bounds": {"k_values": [0]}}, "bounds.k_values", id="bounds-k_values-zero"),
+    pytest.param({"bounds": {"tv_dims": [25]}}, "bounds.tv_dims", id="bounds-tv_dims-above-limit"),
+    pytest.param({"bounds": {"eta_max": float("nan")}}, "bounds.eta_max", id="bounds-eta_max-nan"),
+    pytest.param({"bounds": {"t_f": 0.0}}, "bounds.t_f", id="bounds-t_f-zero"),
+    pytest.param({"training": {"decay_every": 5, "decay_rate": -1.0}}, "decay_rate",
+                 id="training-decay_rate-negative"),
+    pytest.param({"training": {"decay_rate": float("inf")}}, "decay_rate",
+                 id="training-decay_rate-inf"),
+    pytest.param({"training": {"decay_every": -1}}, "decay_every",
+                 id="training-decay_every-negative"),
+    pytest.param({"training": {"weight_decay": -0.5}}, "weight_decay",
+                 id="training-weight_decay-negative"),
+    pytest.param({"training": {"weight_decay": float("nan")}}, "weight_decay",
+                 id="training-weight_decay-nan"),
 ])
 def test_config_rejects_non_finite_and_out_of_range_numbers(overrides, match):
     with pytest.raises(fd.ConfigError, match=match):
         fd.config_from_dict({"d": 4, **overrides})
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent
+                                         / "scripts" / "configs").glob("*.yaml")),
+                         ids=lambda path: path.name)
+def test_shipped_configs_load(path):
+    assert isinstance(fd.load_config(path), fd.RunConfig)
 
 
 def test_train_with_diverging_ema_rate_writes_no_checkpoint(tmp_path, capsys):

@@ -204,7 +204,7 @@ class RowsOnlyScoreSource:
         raise AssertionError("the thinning sampler queried a scalar time")
 
 
-# the two continuous-time samplers; both accept through samplers._thinning_flips
+# the two continuous-time samplers: samplers._thinning_loop with one clock or d
 THINNING_SAMPLERS = {"continuous": fd.sample_continuous_batch,
                      "percoord": fd.sample_percoord_batch}
 
