@@ -62,10 +62,6 @@ def _out_dir(config: RunConfig, override: str | None) -> Path:
 def build_distribution(config: RunConfig) -> Distribution:
     """The generative data law described by the dataset section."""
     spec = config.dataset
-    if spec.kind == "sawtooth":
-        return sawtooth_params(config.d)
-    if spec.kind == "product":
-        return ProductBernoulli(np.asarray(spec.probs))
     if spec.kind == "table-file":
         payload = _read_json_object(spec.path)
         mass = _number_field(spec.path, payload, "mass", 1 << config.d)
@@ -76,7 +72,7 @@ def build_distribution(config: RunConfig) -> Distribution:
         return DenseTable(mass)
     if spec.probs is not None:
         return ProductBernoulli(np.asarray(spec.probs))
-    return sawtooth_params(config.d)  # default generator behind empirical mode
+    return sawtooth_params(config.d)
 
 
 def load_training_data(config: RunConfig):

@@ -1,6 +1,7 @@
 """Run configuration: one YAML file with nested sections drives every CLI
-command. Every field has a default; unknown keys are hard errors. All
-randomness flows from the single master ``seed`` through named substreams.
+command. Every field has a default; unknown keys are hard errors, and each
+value is checked against its field's type. All randomness flows from the
+single master ``seed`` through named substreams.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ from .training import TrainSettings
 DATASET_KINDS = ("sawtooth", "product", "table-file", "empirical-file")
 
 
-def _check_int(name: str, value) -> None:
-    """Refuse a bool or a non-integer where an integer is expected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+# what each field annotation accepts, and how a refusal names it; a bool is no number
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "true or false"), "str": (str, "a string"),
+          "tuple": ((list, tuple), "a list")}
 
 
-def _check_int_fields(cls, payload: dict, prefix: str = "") -> None:
-    """``_check_int`` on every field of ``payload`` that ``cls`` declares an int."""
-    for f in fields(cls):
-        if f.type in ("int", "int | None") and payload.get(f.name) is not None:
-            _check_int(prefix + f.name, payload[f.name])
+def _check_type(name: str, kind: str, value) -> None:
+    """Refuse ``value`` unless it fits the field annotation ``kind``."""
+    types, noun = _TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool) and kind != "bool":
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,15 @@ class DatasetSpec:
             raise ConfigError("dataset.kind=product requires dataset.probs")
         if self.kind in ("table-file", "empirical-file") and self.path is None:
             raise ConfigError(f"dataset.kind={self.kind} requires dataset.path")
+        if self.n_train < 1:
+            raise ConfigError(f"dataset.n_train must be >= 1, got {self.n_train!r}")
         if self.probs is not None:
+            if self.kind in ("sawtooth", "table-file"):
+                raise ConfigError(f"dataset.probs is not used by dataset.kind={self.kind}")
+            for p in self.probs:
+                _check_type("dataset.probs entries", "float", p)
+                if not 0 < p < 1:
+                    raise ConfigError(f"dataset.probs entries must be in (0, 1), got {p!r}")
             object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
 
 
@@ -76,6 +85,8 @@ class FlipSpec:
     def __post_init__(self):
         if self.kind not in FLIP_KINDS:
             raise ConfigError(f"flips.kind must be one of {FLIP_KINDS}, got {self.kind!r}")
+        if self.total is not None and self.total < 0:
+            raise ConfigError(f"flips.total must be >= 0, got {self.total!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ class BoundsSpec:
                           ("tv_dims", ENUM_LIMIT)):
             values = tuple(getattr(self, name))
             for v in values:
-                _check_int(f"bounds.{name}", v)
+                _check_type(f"bounds.{name}", "int", v)
                 if not 1 <= v <= top:
                     raise ConfigError(f"bounds.{name} entries must be in [1, {top}], got {v!r}")
             if not values and name != "tv_dims":
@@ -144,8 +155,7 @@ class RunConfig:
             object.__setattr__(self, "model", ModelConfig(d=self.d, seed=self.seed))
         elif self.model.d != self.d:
             raise ConfigError(f"model.d={self.model.d} disagrees with top-level d={self.d}")
-        if self.dataset.probs is not None and self.dataset.kind == "product" \
-                and len(self.dataset.probs) != self.d:
+        if self.dataset.probs is not None and len(self.dataset.probs) != self.d:
             raise ConfigError("dataset.probs length must equal d")
 
     @property
@@ -168,67 +178,59 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-_SECTION_TYPES = {
-    "dataset": DatasetSpec,
-    "model": ModelConfig,
-    "loss": LossSpec,
-    "training": TrainSettings,
-    "schedule": ScheduleSpec,
-    "flips": FlipSpec,
-    "bounds": BoundsSpec,
-}
+_SECTIONS = {cls.__name__: cls for cls in (DatasetSpec, ModelConfig, LossSpec, TrainSettings,
+                                           ScheduleSpec, FlipSpec, BoundsSpec)}
 
 
-def _build_section(name: str, cls, payload: dict, top: dict):
-    allowed = {f.name for f in fields(cls)}
-    extra = {"preset"} if name == "loss" else set()
-    unknown = set(payload) - allowed - extra
+def _build(cls, payload, name: str = ""):
+    """``cls`` from the mapping ``payload`` (section ``name``; "" is the root).
+    Fields are checked in declaration order: a section is built from its own
+    mapping, any other value is checked against its annotation (None only
+    where that ends in ``| None``)."""
+    where = f"section {name!r}" if name else "config root"
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    payload = dict(payload)
-    if name == "loss" and "preset" in payload:
-        preset = payload.pop("preset")
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ConfigError(f"unknown loss preset {preset!r}; "
-                                  f"choose from {sorted(PRESETS)}")
-            base = PRESETS[preset]
-            payload = {"w1": base.w1, "w2": base.w2, "w3": base.w3, **payload}
-    if name == "model":
-        # as for a config without a model section, d and seed come from the top
-        payload.setdefault("d", top.get("d", RunConfig.d))
-        payload.setdefault("seed", top.get("seed", RunConfig.seed))
-    _check_int_fields(cls, payload, f"{name}.")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    kwargs = dict(payload)
+    for f in fields(cls):
+        if f.name not in payload:
+            continue
+        kind = f.type.removesuffix(" | None")
+        if kind in _SECTIONS:
+            kwargs[f.name] = _build(_SECTIONS[kind], payload[f.name], f.name)
+        elif kind in _TYPES and (payload[f.name] is not None or kind == f.type):
+            _check_type(f"{name}.{f.name}" if name else f.name, kind, payload[f.name])
     try:
-        return cls(**payload)
+        return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section {name!r}: {exc}") from exc
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    top_fields = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - top_fields
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    _check_int_fields(RunConfig, raw)
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {key!r} must be a mapping")
-            kwargs[key] = _build_section(key, _SECTION_TYPES[key], value, raw)
-        else:
-            kwargs[key] = value
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    """The run config in ``raw``, after the two rules that reach across
+    sections: a loss ``preset`` fills the weights the section leaves out, and
+    the model section takes ``d`` and ``seed`` from the top unless it sets them."""
+    if isinstance(raw, dict):
+        raw = dict(raw)
+        loss = raw.get("loss")
+        if isinstance(loss, dict) and "preset" in loss:
+            loss = dict(loss)
+            preset = loss.pop("preset")
+            if preset is not None:
+                if not isinstance(preset, str) or preset not in PRESETS:
+                    raise ConfigError(f"unknown loss preset {preset!r}; "
+                                      f"choose from {sorted(PRESETS)}")
+                base = PRESETS[preset]
+                loss = {"w1": base.w1, "w2": base.w2, "w3": base.w3, **loss}
+            raw["loss"] = loss
+        if isinstance(raw.get("model"), dict):
+            raw["model"] = {"d": raw.get("d", RunConfig.d),
+                            "seed": raw.get("seed", RunConfig.seed), **raw["model"]}
+    return _build(RunConfig, raw)
 
 
 def load_config(path) -> RunConfig:

@@ -105,6 +105,28 @@ def test_config_zero_loss_weights_rejected_before_compute(tmp_path):
                  id="training-weight_decay-negative"),
     pytest.param({"training": {"weight_decay": float("nan")}}, "weight_decay",
                  id="training-weight_decay-nan"),
+    pytest.param({"training": {"ema": "false"}}, "training.ema must be true or false",
+                 id="training-ema-string"),
+    pytest.param({"loss": {"w_scaled": "false"}}, "loss.w_scaled must be true or false",
+                 id="loss-w_scaled-string"),
+    pytest.param({"out_dir": 5}, "out_dir must be a string", id="out_dir-int"),
+    pytest.param({"loss": {"preset": ["l2"]}}, "unknown loss preset", id="loss-preset-list"),
+    pytest.param({"bounds": {"eta_max": True}}, "bounds.eta_max must be a number",
+                 id="bounds-eta_max-bool"),
+    pytest.param({"lam": "1.0"}, "lam must be a number", id="lam-string"),
+    pytest.param(yaml.safe_load("training: {lr: 1e-3}"), "training.lr must be a number",
+                 id="training-lr-yaml-exponent"),
+    pytest.param({"d": 3, "dataset": {"kind": "empirical-file", "path": "train.txt",
+                                      "probs": [0.2, 0.5]}}, "dataset.probs length",
+                 id="empirical-file-probs-short"),
+    pytest.param({"d": 3, "dataset": {"kind": "product", "probs": [0.5, 1.5, 0.2]}},
+                 "dataset.probs entries", id="product-probs-above-one"),
+    pytest.param({"dataset": {"kind": "sawtooth", "probs": [0.5] * 4}}, "dataset.probs",
+                 id="sawtooth-probs"),
+    pytest.param({"dataset": {"kind": "table-file", "path": "table.json",
+                              "probs": [0.5] * 4}}, "dataset.probs", id="table-file-probs"),
+    pytest.param({"flips": {"total": -1}}, "flips.total", id="flips-total-negative"),
+    pytest.param({"dataset": {"n_train": 0}}, "dataset.n_train", id="dataset-n_train-zero"),
 ])
 def test_config_rejects_non_finite_and_out_of_range_numbers(overrides, match):
     with pytest.raises(fd.ConfigError, match=match):
