@@ -13,8 +13,19 @@ change meant to be exact can be checked with one diff:
     python3 scripts/seeded_digests.py > after.txt    # in the new one
     diff before.txt after.txt
 
+``--check [FILE]`` compares the lines with FILE (by default the committed
+``scripts/seeded_digests.txt``), prints each name whose digest differs with
+its old and new digest, and exits 1 on any difference. A change that moves a
+seeded output rewrites that file, so the moved lines show in its diff:
+
+    python3 scripts/seeded_digests.py --check
+    python3 scripts/seeded_digests.py > scripts/seeded_digests.txt
+
 BLAS is pinned to one thread, since the thread count can change the last bit
-of a matrix product. Runs in about thirty seconds on one core.
+of a matrix product. Other BLAS builds (or CPUs) can differ in those bits even
+so, which moves every line that goes through a matrix product; that is why the
+check is a script to run on one machine across commits, and not a test.
+Runs in about thirty seconds on one core.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -42,6 +54,7 @@ from flipdiff.cli import main as cli_main  # noqa: E402
 from flipdiff.config import load_config  # noqa: E402
 
 LAM, T_F = 1.0, 3.0
+COMMITTED = ROOT / "scripts/seeded_digests.txt"
 
 
 def digest(*arrays) -> str:
@@ -81,7 +94,35 @@ def sampler_lines(name: str, src) -> list[str]:
     return [f"{name}/{kind} {digest(*out)}" for kind, out in runs.items()]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", nargs="?", const=COMMITTED, metavar="FILE",
+                        help=f"compare with FILE (default {COMMITTED.relative_to(ROOT)}) "
+                             "and exit 1 on any difference")
+    args = parser.parse_args(argv)
+    lines = seeded_lines()
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    return check(lines, Path(args.check))
+
+
+def _by_name(lines) -> dict[str, str]:
+    return dict(line.rsplit(" ", 1) for line in lines if line.strip())
+
+
+def check(lines: list[str], path: Path) -> int:
+    """Print each name whose digest differs from ``path`` (a missing name
+    shows as ``-``); 1 if any does, else 0."""
+    old, new = _by_name(path.read_text().splitlines()), _by_name(lines)
+    differ = [name for name in {**old, **new} if old.get(name) != new.get(name)]
+    for name in differ:
+        print(f"{name}: {old.get(name, '-')} -> {new.get(name, '-')}")
+    print(f"{len(differ)} of {len(new)} lines differ from {path}")
+    return 1 if differ else 0
+
+
+def seeded_lines() -> list[str]:
     lines = []
     srcs = sources()
     for name, src in srcs.items():
@@ -124,8 +165,7 @@ def main() -> int:
     lines.append(single_chain_line(srcs))
     lines.append(distinct_rows_line())
     lines.append(learned_d8_denoise_line(learned_d8))
-    print("\n".join(lines))
-    return 0
+    return lines
 
 
 def d8_lines(dense_src) -> tuple[list[str], fd.LearnedScoreSource]:

@@ -32,11 +32,20 @@ _TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
           "tuple": ((list, tuple), "a list")}
 
 
-def _check_type(name: str, kind: str, value) -> None:
-    """Refuse ``value`` unless it fits the field annotation ``kind``."""
+def _check_type(name: str, kind: str, value):
+    """``value`` as a field annotated ``kind`` holds it, or a refusal: a
+    ``float`` given as an int is stored as a float, so ``1`` and ``1.0`` load
+    (and hash) alike."""
     types, noun = _TYPES[kind]
     if not isinstance(value, types) or isinstance(value, bool) and kind != "bool":
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if kind == "float" and isinstance(value, int):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be a finite number, "
+                              "got an integer too large for a float") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,11 +67,11 @@ class DatasetSpec:
         if self.probs is not None:
             if self.kind in ("sawtooth", "table-file"):
                 raise ConfigError(f"dataset.probs is not used by dataset.kind={self.kind}")
-            for p in self.probs:
-                _check_type("dataset.probs entries", "float", p)
+            probs = tuple(_check_type("dataset.probs entries", "float", p) for p in self.probs)
+            for p in probs:
                 if not 0 < p < 1:
                     raise ConfigError(f"dataset.probs entries must be in (0, 1), got {p!r}")
-            object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+            object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,8 @@ def _build(cls, payload, name: str = ""):
         if kind in _SECTIONS:
             kwargs[f.name] = _build(_SECTIONS[kind], payload[f.name], f.name)
         elif kind in _TYPES and (payload[f.name] is not None or kind == f.type):
-            _check_type(f"{name}.{f.name}" if name else f.name, kind, payload[f.name])
+            kwargs[f.name] = _check_type(f"{name}.{f.name}" if name else f.name, kind,
+                                         payload[f.name])
     try:
         return cls(**kwargs)
     except ConfigError:

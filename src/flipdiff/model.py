@@ -8,11 +8,12 @@ layer under a final sigmoid, so a fresh model predicts exactly 0.5).
 Gradients are hand-written reverse mode over this fixed graph — no autodiff
 framework; the finite-difference check in the test suite is the safety net.
 The network computes in the dtype of the parameter vector it is given:
-training and ``LearnedScoreSource`` pass a float32 copy of float64 master
-weights, the finite-difference check passes float64. Predictions leave, and
-the loss is computed, in float64. The forward and backward pass write into
-one workspace of preallocated arrays; ``loss_and_grad`` keeps its workspace
-between calls, so training runs one thread per process.
+training and ``LearnedScoreSource`` keep float32 parameters, the
+finite-difference check passes float64. Predictions leave, and the loss is
+computed, in float64; AdamW works in the parameters' dtype. The forward and
+backward pass write into one workspace of preallocated arrays;
+``loss_and_grad`` keeps its workspace between calls, so training runs one
+thread per process.
 """
 
 from __future__ import annotations

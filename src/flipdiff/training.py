@@ -83,13 +83,14 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
           opt_state: OptimizerState | None = None, start_step: int = 0,
           log_path=None) -> TrainResult:
     """Fit the denoiser; deterministic given the rng seed and inputs. The
-    master params, AdamW moments and EMA are float64; the network's forward
-    and backward run on a float32 copy of the params.
+    params, AdamW moments and EMA are float32, the dtype the network computes
+    in: ``init_params(...)`` or ``init`` is cast once, so float64 weights (from
+    an older checkpoint) are rounded to float32 here.
 
     ``init``/``opt_state``/``start_step`` allow resuming so step numbering
     continues across checkpoints.
     """
-    params = init_params(model_config) if init is None else init.copy()
+    params = (init_params(model_config) if init is None else init).astype(np.float32)
     state = opt_state or OptimizerState(step=start_step)
     ema_params = params.copy() if settings.ema else None
     ema_step = np.empty_like(params) if settings.ema else None
@@ -97,7 +98,7 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
     for step in range(start_step, start_step + settings.steps):
         x0s = draw_clean_states(dataset, settings.batch_size, rng)
         batch = make_batch(x0s, lam, t_f, rng)
-        total, grad, parts = loss_and_grad(params.astype(np.float32), model_config, batch, spec)
+        total, grad, parts = loss_and_grad(params, model_config, batch, spec)
         if not np.isfinite(total) or abs(total) > DIVERGENCE_LIMIT:
             raise TrainingError(
                 f"training diverged at step {step}: loss={total!r} "

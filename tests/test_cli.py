@@ -133,6 +133,40 @@ def test_config_rejects_non_finite_and_out_of_range_numbers(overrides, match):
         fd.config_from_dict({"d": 4, **overrides})
 
 
+@pytest.mark.parametrize("key,section", [("lam", None), ("lr", "training")])
+def test_float_field_given_as_integer_loads_as_that_float(key, section):
+    def load(value):
+        return fd.config_from_dict({key: value} if section is None else {section: {key: value}})
+
+    as_int, as_float = load(1), load(1.0)
+    value = getattr(as_int if section is None else getattr(as_int, section), key)
+    assert type(value) is float and value == 1.0
+    assert as_int == as_float
+    assert as_int.config_hash() == as_float.config_hash()
+    assert as_int.dataset_hash() == as_float.dataset_hash()
+
+
+@pytest.mark.parametrize("overrides,field", [
+    pytest.param({"lam": 10**400}, "lam", id="lam"),
+    pytest.param({"training": {"lr": 10**400}}, "training.lr", id="training-lr"),
+    pytest.param({"d": 2, "dataset": {"kind": "product", "probs": [0.5, -10**400]}},
+                 "dataset.probs entries", id="dataset-probs"),
+])
+def test_integer_too_large_for_a_float_is_refused(overrides, field):
+    with pytest.raises(fd.ConfigError, match=f"^{field} must be a finite number"):
+        fd.config_from_dict(overrides)
+
+
+def test_gen_data_refuses_a_401_digit_lam(tmp_path, capsys):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path)
+    cfg_path.write_text(cfg_path.read_text().replace("lam: 1.0", "lam: 1" + "0" * 400))
+    assert yaml.safe_load(cfg_path.read_text())["lam"] == 10**400
+    assert main(["gen-data", "--config", str(cfg_path)]) == 2
+    assert "lam must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent
                                          / "scripts" / "configs").glob("*.yaml")),
                          ids=lambda path: path.name)

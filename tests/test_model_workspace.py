@@ -228,13 +228,13 @@ def test_ema_training_run_matches_reference():
     res = fd.train(dist, SMALL, spec, settings, LAM, T_F, np.random.default_rng(4))
 
     rng = np.random.default_rng(4)
-    params = fd.init_params(SMALL)
+    params = fd.init_params(SMALL).astype(np.float32)
     ema = params.copy()
     state = fd.OptimizerState()
     rows = []
     for step in range(settings.steps):
         batch = fd.make_batch(draw_clean_states(dist, settings.batch_size, rng), LAM, T_F, rng)
-        total, grad, parts = ref_loss_and_grad(params.astype(np.float32), SMALL, batch, spec)
+        total, grad, parts = ref_loss_and_grad(params, SMALL, batch, spec)
         params = ref_optimizer_step(params, grad, state, settings)
         ema = settings.ema_rate * ema + (1.0 - settings.ema_rate) * params
         rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac))
@@ -278,3 +278,22 @@ def test_training_step_peak_memory_is_bounded():
     # the new gradient and parameters take 1.4 MB; one fresh array per
     # activation and optimizer term would peak near 12 MB
     assert peak < 4e6
+
+
+def test_training_run_peak_memory_is_bounded():
+    dist, spec = fd.sawtooth_params(D8.d), fd.LossSpec(1, 0, 0, w_scaled=True)
+
+    def run(steps):
+        fd.train(dist, D8, spec, fd.TrainSettings(steps=steps, batch_size=512), LAM, T_F,
+                 np.random.default_rng(8))
+
+    run(1)  # lazy imports and caches outside the run; its workspace goes with it
+    tracemalloc.start()
+    try:
+        run(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # float32 params, moments and step buffers take 0.36 MB each beside the
+    # workspace (6.9 MB in all); float64 ones and a float32 copy per step 9.3 MB
+    assert peak < 8e6

@@ -149,14 +149,14 @@ def test_learned_source_returns_float64_from_a_float64_checkpoint(tmp_path):
     settings = fd.TrainSettings(steps=5, batch_size=32)
     params = fd.train(fd.sawtooth_params(4), cfg, fd.LossSpec(1, 1, 1), settings, LAM, 3.0,
                       np.random.default_rng(6)).params
-    assert params.dtype == np.float64
+    assert params.dtype == np.float32
     meta = fd.CheckpointMeta(lam=LAM, t_f=3.0, d=4, w1=1.0, w2=1.0, w3=1.0,
                              w_scaled=False, seed=6, steps=5)
     fd.save_checkpoint(tmp_path / "model.bin", params, cfg, meta)
     loaded = fd.load_checkpoint(tmp_path / "model.bin")[0]
-    assert loaded.dtype == np.float64 and loaded.tobytes() == params.tobytes()
+    assert loaded.dtype == np.float64 and loaded.astype(np.float32).tobytes() == params.tobytes()
     src = fd.LearnedScoreSource.from_checkpoint(tmp_path / "model.bin", d=4)
-    assert src.params.tobytes() == params.astype(np.float32).tobytes()
+    assert src.params.tobytes() == params.tobytes()
     X = fd.all_states(4)
     ts = np.linspace(0.0, 2.9, len(X))
     for out in (src.denoiser_batch(1.0, X), src.score_batch(1.0, X),

@@ -77,6 +77,33 @@ def test_resume_takes_the_learning_rate_of_the_resumed_run():
     assert not np.array_equal(*resumed)
 
 
+@pytest.mark.parametrize("ema", [False, True], ids=["plain", "ema"])
+def test_training_state_is_float32(monkeypatch, ema):
+    seen = []
+
+    def recording(params, config, batch, spec):
+        seen.append(params.dtype)
+        return fd.loss_and_grad(params, config, batch, spec)
+
+    monkeypatch.setattr(train_mod, "loss_and_grad", recording)
+    settings = fd.TrainSettings(steps=4, batch_size=16, lr=1e-3, ema=ema, ema_rate=0.9)
+    res = fd.train(fd.sawtooth_params(4), TINY, fd.LossSpec(1, 0, 0), settings, LAM, T_F,
+                   np.random.default_rng(2))
+    assert seen == [np.float32] * 4  # the network gets the params themselves, uncast
+    assert res.params.dtype == np.float32  # the EMA weights when ema is on
+    assert res.opt_state.m.dtype == res.opt_state.v.dtype == np.float32
+
+
+def test_resume_from_float64_weights_rounds_them_to_float32_once():
+    weights = fd.init_params(TINY) + np.random.default_rng(4).normal(0, 0.1, fd.param_count(TINY))
+    settings = fd.TrainSettings(steps=3, batch_size=16)
+    runs = [fd.train(fd.sawtooth_params(4), TINY, fd.LossSpec(1, 0, 0), settings, LAM, T_F,
+                     np.random.default_rng(5), init=init, start_step=10)
+            for init in (weights, weights.astype(np.float32))]
+    assert runs[0].params.tobytes() == runs[1].params.tobytes()
+    assert runs[0].log_rows == runs[1].log_rows
+
+
 def test_divergence_aborts(monkeypatch):
     def exploding(params, config, batch, spec):
         return 1e9, np.zeros_like(params), {"l2": 1e9, "e": 0.0, "ce": 0.0}
