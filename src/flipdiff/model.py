@@ -7,6 +7,10 @@ layer under a final sigmoid, so a fresh model predicts exactly 0.5).
 
 Gradients are hand-written reverse mode over this fixed graph — no autodiff
 framework; the finite-difference check in the test suite is the safety net.
+Each block's LayerNorm affine is folded into the dense layer after it (see
+``_forward``), row means and column sums are BLAS products with a constant
+vector, and the hidden SiLUs take their sigmoid from one tanh; in float64
+this agrees with the textbook network to ~1e-14.
 The network computes in the dtype of the parameter vector it is given:
 training and ``LearnedScoreSource`` keep float32 parameters, the
 finite-difference check passes float64. Predictions leave, and the loss is
@@ -117,7 +121,8 @@ def init_params(config: ModelConfig) -> np.ndarray:
 
 def _sigmoid(x, out):
     """out = 1 / (1 + exp(-x)); exp overflows to inf for a very negative x
-    (below -88 in float32), and 1 / (1 + inf) = 0 is the limit."""
+    (below -88 in float32), and 1 / (1 + inf) = 0 is the limit. The output
+    head uses this form: a small prediction keeps its relative precision."""
     np.negative(x, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
@@ -126,8 +131,12 @@ def _sigmoid(x, out):
 
 
 def _silu(x, s, out):
-    """out = x * s with s = sigmoid(x); the backward reads s back."""
-    _sigmoid(x, s)
+    """out = x * s with s = sigmoid(x) = tanh(x / 2) / 2 + 1 / 2, which cannot
+    overflow; the backward reads s back."""
+    np.multiply(x, 0.5, out=s)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
     return np.multiply(x, s, out=out)
 
 
@@ -147,7 +156,7 @@ def _frequencies(n_freq: int) -> np.ndarray:
     return freqs
 
 
-_BLOCK_ARRAYS = ("xhat", "normed", "z1", "s1", "a1")
+_BLOCK_ARRAYS = ("xhat", "z1", "s1", "a1")
 
 
 @functools.lru_cache(maxsize=256)
@@ -155,12 +164,13 @@ def _workspace_layout(config: ModelConfig, n: int, time_shape: tuple):
     """``_pack`` layout of a workspace's arrays; see ``_Workspace``."""
     d, h, e = config.d, config.width, config.time_embed_dim
     shapes = [("xs", (n, d)), ("ang", time_shape + (e // 2,)), ("emb_u", time_shape + (h,)),
-              ("emb_rows", (n, e)), ("row_a", (n, 1)), ("row_b", (n, 1)),
-              ("logits", (n, d)), ("d_logits", (n, d))]
+              ("emb_rows", (n, e)), ("row_mean", (n, 1)), ("logits", (n, d)),
+              ("d_logits", (n, d)), ("ones", (n,)), ("mean_of_h", (h, 1)), ("fold_mean", (h, 1))]
     shapes += [(k, time_shape + (e,)) for k in ("feats", "z_t", "s_t", "emb", "d_emb")]
     shapes += [(k, (n, h)) for k in ("h", "tmp_a", "tmp_b")]
     for b in range(config.blocks):
-        shapes += [(f"inv{b}", (n, 1))] + [(f"{k}{b}", (n, h)) for k in _BLOCK_ARRAYS]
+        shapes += [(f"inv{b}", (n, 1)), (f"w_fold{b}", (h, h)), (f"b_fold{b}", (h,))]
+        shapes += [(f"{k}{b}", (n, h)) for k in _BLOCK_ARRAYS]
     return _pack(shapes)
 
 
@@ -169,18 +179,23 @@ class _Workspace:
 
     ``time_shape`` is ``()`` for one scalar time shared by all rows (forward
     only) or ``(n,)`` for one time per row. ``blocks[b]`` holds block b's
-    values that the backward reads: ``inv``, ``xhat``, ``normed``, ``z1``,
-    its sigmoid ``s1`` and ``a1``. All arrays but ``out`` are views of one
-    buffer, so a freed workspace leaves no holes in the heap that stay
-    resident. ``out`` is its own array because ``predict_batch`` returns it
-    when the params are float64.
+    values that the backward reads: ``inv``, ``xhat``, the LayerNorm affine
+    folded into the first dense layer (``w_fold``, ``b_fold``), ``z1``, its
+    sigmoid ``s1`` and ``a1``. ``ones`` (n ones) and ``mean_of_h`` (a column
+    of 1/width) turn column sums and row means into BLAS products. All
+    arrays but ``out`` are views of one buffer, so a freed workspace leaves
+    no holes in the heap that stay resident. ``out`` is its own array
+    because ``predict_batch`` returns it when the params are float64.
     """
 
     def __init__(self, config: ModelConfig, n: int, time_shape: tuple, dtype):
         offsets, total = _workspace_layout(config, n, time_shape)
         arrays = _unpack(np.empty(total, dtype), offsets)
         self.__dict__.update(arrays)
-        self.blocks = [SimpleNamespace(**{k: arrays[f"{k}{b}"] for k in ("inv", *_BLOCK_ARRAYS)})
+        self.ones.fill(1.0)
+        self.mean_of_h.fill(1.0 / config.width)
+        self.blocks = [SimpleNamespace(**{k: arrays[f"{k}{b}"]
+                                          for k in ("inv", "w_fold", "b_fold", *_BLOCK_ARRAYS)})
                        for b in range(config.blocks)]
         self.out = np.empty((n, config.d), dtype)
 
@@ -191,17 +206,15 @@ def _training_workspace(config: ModelConfig, n: int, dtype) -> _Workspace:
     return _Workspace(config, n, (n,), dtype)
 
 
-def _row_mean(x, out):
-    """x.mean(axis=1, keepdims=True) into ``out``: the row sum over the count."""
-    np.add.reduce(x, axis=1, keepdims=True, out=out)
-    out /= x.shape[1]
-    return out
-
-
 def _forward(params: np.ndarray, config: ModelConfig, ts, xs, ws: _Workspace) -> np.ndarray:
     """Forward pass into ``ws``; returns ``ws.out``. A scalar ``ts`` runs the
     time path once and broadcasts it. The time angles are computed in float64
-    and rounded once to the workspace's dtype."""
+    and rounded once to the workspace's dtype.
+
+    Each block's LayerNorm affine is folded into its first dense layer:
+    ``w_fold = w1 * ln_g`` with each row's mean taken out, and ``b_fold = b1 +
+    w1 @ ln_b``. Every row of ``xhat`` sums to zero, so ``xhat @ w_fold.T +
+    b_fold`` is ``(xhat * ln_g + ln_b) @ w1.T + b1`` in exact arithmetic."""
     p = _views(params, config)
     np.copyto(ws.xs, xs)
     half = config.time_embed_dim // 2
@@ -211,22 +224,25 @@ def _forward(params: np.ndarray, config: ModelConfig, ts, xs, ws: _Workspace) ->
     np.matmul(ws.feats, p["w_time"].T, out=ws.z_t)
     ws.z_t += p["b_time"]
     _silu(ws.z_t, ws.s_t, ws.emb)
-    h, tmp = ws.h, ws.tmp_a
+    h, tmp, mean_of_h = ws.h, ws.tmp_a, ws.mean_of_h
     np.matmul(ws.xs, p["w_in"].T, out=h)
     h += p["b_in"]
     for b, c in enumerate(ws.blocks):
-        mean = _row_mean(h, ws.row_a)
-        centered = np.subtract(h, mean, out=c.xhat)
-        inv = _row_mean(np.square(centered, out=tmp), c.inv)
+        w1 = p[f"w1_{b}"]
+        w_fold = np.multiply(w1, p[f"ln_g{b}"], out=c.w_fold)
+        w_fold -= np.matmul(w_fold, mean_of_h, out=ws.fold_mean)
+        np.matmul(w1, p[f"ln_b{b}"], out=c.b_fold)
+        c.b_fold += p[f"b1_{b}"]
+        centered = np.subtract(h, np.matmul(h, mean_of_h, out=ws.row_mean), out=c.xhat)
+        inv = np.matmul(np.square(centered, out=tmp), mean_of_h, out=c.inv)
         inv += _LN_EPS
         np.sqrt(inv, out=inv)
         np.divide(1.0, inv, out=inv)
         centered *= inv
-        np.multiply(c.xhat, p[f"ln_g{b}"], out=c.normed)
-        c.normed += p[f"ln_b{b}"]
-        np.matmul(c.normed, p[f"w1_{b}"].T, out=c.z1)
-        c.z1 += p[f"b1_{b}"]
-        c.z1 += np.matmul(ws.emb, p[f"u_{b}"].T, out=ws.emb_u)
+        np.matmul(c.xhat, w_fold.T, out=c.z1)
+        np.matmul(ws.emb, p[f"u_{b}"].T, out=ws.emb_u)
+        ws.emb_u += c.b_fold
+        c.z1 += ws.emb_u
         _silu(c.z1, c.s1, c.a1)
         np.matmul(c.a1, p[f"w2_{b}"].T, out=tmp)
         tmp += p[f"b2_{b}"]
@@ -240,15 +256,22 @@ def _backward(params: np.ndarray, config: ModelConfig, ws: _Workspace,
               d_out: np.ndarray) -> np.ndarray:
     """Gradient of the loss in parameter space from d loss / d out, using the
     values ``_forward`` left in ``ws`` (per-row times); returns a new array.
-    ``d_out`` is in the params' dtype."""
+    ``d_out`` is in the params' dtype.
+
+    Through the folded LayerNorm: with ``G = dz1.T @ xhat`` and ``g_b1`` the
+    column sums of ``dz1``, ``g_ln_g[j] = sum_i w1[i, j] * G[i, j]``, ``g_ln_b =
+    g_b1 @ w1`` and ``g_w1 = G * ln_g + outer(g_b1, ln_b)``. The rows of
+    ``w_fold`` sum to zero, so ``dxhat = dz1 @ w_fold`` is row-centred and the
+    LayerNorm backward needs only ``rowmean(dxhat * xhat)``. ``w_fold`` is
+    scratch once ``dxhat`` is out."""
     p = _views(params, config)
     grad = np.empty_like(params)
     g = _views(grad, config)
-    tmp_a, tmp_b = ws.tmp_a, ws.tmp_b
+    tmp_a, tmp_b, ones, mean_of_h = ws.tmp_a, ws.tmp_b, ws.ones, ws.mean_of_h
     d_logits = np.multiply(d_out, ws.out, out=ws.d_logits)
     d_logits *= np.subtract(1.0, ws.out, out=ws.logits)
     np.matmul(d_logits.T, ws.h, out=g["w_out"])
-    np.add.reduce(d_logits, axis=0, out=g["b_out"])
+    np.matmul(ones, d_logits, out=g["b_out"])
     dh = np.matmul(d_logits, p["w_out"], out=ws.h)  # the final h is read for the last time above
     d_emb = ws.d_emb
     d_emb.fill(0.0)
@@ -256,30 +279,30 @@ def _backward(params: np.ndarray, config: ModelConfig, ws: _Workspace,
         c = ws.blocks[b]
         # residual: dh flows both into z2 and straight through
         np.matmul(dh.T, c.a1, out=g[f"w2_{b}"])
-        np.add.reduce(dh, axis=0, out=g[f"b2_{b}"])
+        np.matmul(ones, dh, out=g[f"b2_{b}"])
         dz1 = np.matmul(dh, p[f"w2_{b}"], out=tmp_a)
         dz1 *= _silu_grad(c.z1, c.s1, tmp_b)
-        np.matmul(dz1.T, c.normed, out=g[f"w1_{b}"])
-        np.add.reduce(dz1, axis=0, out=g[f"b1_{b}"])
+        g_b1 = np.matmul(ones, dz1, out=g[f"b1_{b}"])
         np.matmul(dz1.T, ws.emb, out=g[f"u_{b}"])
         d_emb += np.matmul(dz1, p[f"u_{b}"], out=ws.emb_rows)
-        d_normed = np.matmul(dz1, p[f"w1_{b}"], out=tmp_b)
-        np.add.reduce(np.multiply(d_normed, c.xhat, out=tmp_a), axis=0, out=g[f"ln_g{b}"])
-        np.add.reduce(d_normed, axis=0, out=g[f"ln_b{b}"])
-        dxhat = d_normed
-        dxhat *= p[f"ln_g{b}"]
-        mean_dxhat = _row_mean(dxhat, ws.row_a)
-        mean_dxhat_xhat = _row_mean(np.multiply(dxhat, c.xhat, out=tmp_a), ws.row_b)
-        dxhat -= mean_dxhat
+        dxhat = np.matmul(dz1, c.w_fold, out=tmp_b)
+        w1, g_w1 = p[f"w1_{b}"], g[f"w1_{b}"]
+        np.matmul(dz1.T, c.xhat, out=g_w1)
+        np.add.reduce(np.multiply(w1, g_w1, out=c.w_fold), axis=0, out=g[f"ln_g{b}"])
+        np.matmul(g_b1, w1, out=g[f"ln_b{b}"])
+        g_w1 *= p[f"ln_g{b}"]
+        g_w1 += np.multiply.outer(g_b1, p[f"ln_b{b}"], out=c.w_fold)
+        mean_dxhat_xhat = np.matmul(np.multiply(dxhat, c.xhat, out=tmp_a), mean_of_h,
+                                    out=ws.row_mean)
         dxhat -= np.multiply(c.xhat, mean_dxhat_xhat, out=tmp_a)
         dxhat *= c.inv
         dh += dxhat
     np.matmul(dh.T, ws.xs, out=g["w_in"])
-    np.add.reduce(dh, axis=0, out=g["b_in"])
+    np.matmul(ones, dh, out=g["b_in"])
     dz_t = d_emb
     dz_t *= _silu_grad(ws.z_t, ws.s_t, ws.emb_rows)
     np.matmul(dz_t.T, ws.feats, out=g["w_time"])
-    np.add.reduce(dz_t, axis=0, out=g["b_time"])
+    np.matmul(ones, dz_t, out=g["b_time"])
     return grad
 
 

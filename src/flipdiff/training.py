@@ -1,6 +1,7 @@
 """Training loop: resample or iterate batches, noise to a uniform random
 backward time, take AdamW steps on the combined loss, and log a CSV row per
-step."""
+step: the loss and its parts, the clamped share of the batch, the learning
+rate the step used and the gradient's norm before it."""
 
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from .model import (
 )
 from .states import Distribution, EmpiricalSet
 
-LOG_HEADER = ("step", "loss_total", "loss_l2", "loss_e", "loss_ce", "clamped_frac")
+LOG_HEADER = ("step", "loss_total", "loss_l2", "loss_e", "loss_ce", "clamped_frac", "lr",
+              "grad_norm")
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -103,12 +105,14 @@ def train(dataset: Distribution | EmpiricalSet, model_config: ModelConfig,
             raise TrainingError(
                 f"training diverged at step {step}: loss={total!r} "
                 f"(l2={parts['l2']!r}, e={parts['e']!r}, ce={parts['ce']!r})")
-        params = optimizer_step(params, grad, state, settings.lr_at(state.step),
-                                settings.weight_decay)
+        grad_norm = float(np.linalg.norm(grad))
+        lr = settings.lr_at(state.step)
+        params = optimizer_step(params, grad, state, lr, settings.weight_decay)
         if ema_params is not None:
             ema_params *= settings.ema_rate
             ema_params += np.multiply(params, 1.0 - settings.ema_rate, out=ema_step)
-        rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac))
+        rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac, lr,
+                     grad_norm))
     _training_workspace.cache_clear()  # the run's buffers go with it
     if log_path is not None:
         write_log(log_path, rows)

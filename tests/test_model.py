@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flipdiff as fd
-from flipdiff.model import loss_and_grad
+from flipdiff.model import _layout, loss_and_grad
 
 LAM, T_F = 1.0, 3.0
 SMALL = fd.ModelConfig(d=4, blocks=2, width=24, time_embed_dim=12, seed=3)
@@ -79,7 +79,10 @@ def test_gradient_matches_finite_differences(spec):
     batch = _random_batch(4, 12, 7)
     _, grad, _ = loss_and_grad(params, SMALL, batch, spec)
     step = 1e-6
-    for i in rng.choice(params.size, 20, replace=False):
+    # two indices from every parameter block, so each layer's gradient is checked
+    offsets, _ = _layout(SMALL)
+    for i in np.concatenate([pos + rng.choice(size, 2, replace=False)
+                             for pos, size, _ in offsets.values()]):
         basis = np.zeros_like(params)
         basis[i] = step
         up, _, _ = loss_and_grad(params + basis, SMALL, batch, spec)

@@ -1,11 +1,17 @@
 """The denoiser's workspace forward/backward pass and in-place AdamW against
-the allocating forms they replaced (kept below as references), plus the
-aliasing and memory guarantees of the reused training workspace.
+allocating forms, plus the aliasing and memory guarantees of the reused
+training workspace.
 
-The references compute in the params' dtype and cast where the model does:
-the states and the float64 time angles into that dtype on the way in, the
-predictions to float64 for the loss, and d loss / d out back to the params'
-dtype for the backward pass. Both dtypes are held to ``==``."""
+``textbook_forward``/``textbook_backward`` are the network as written down:
+LayerNorm, its affine, then the dense layer, with exp-based sigmoids. They are
+the spec, and the package is held to them in float64 within 1e-12.
+``ref_forward``/``ref_backward`` are the package's own arithmetic in
+allocating form: the LayerNorm affine folded into the next dense layer, row
+means and column sums as BLAS products, the hidden SiLUs from tanh. They
+compute in the params' dtype and cast where the model does: the states and
+the float64 time angles into that dtype on the way in, the predictions to
+float64 for the loss, and d loss / d out back to the params' dtype for the
+backward pass. Both dtypes are held to ``==`` against them."""
 
 import dataclasses
 import itertools
@@ -24,7 +30,7 @@ SMALL = fd.ModelConfig(d=4, blocks=2, width=24, time_embed_dim=12, seed=3)
 D8 = fd.ModelConfig(d=8)
 
 
-# --- references: one fresh array per operation ---------------------------------
+# --- the textbook network: the spec ---------------------------------------------
 
 def ref_sigmoid(x):
     with np.errstate(over="ignore"):
@@ -35,12 +41,12 @@ def ref_silu(x):
     return x * ref_sigmoid(x)
 
 
-def ref_silu_grad(x):
-    s = ref_sigmoid(x)
+def ref_silu_grad(x, sigmoid=ref_sigmoid):
+    s = sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 
-def ref_forward(params, config, ts, xs):
+def textbook_forward(params, config, ts, xs):
     p = _views(params, config)
     xs = xs.astype(params.dtype)
     ang = (ts[..., None] * _frequencies(config.time_embed_dim // 2)).astype(params.dtype)
@@ -67,7 +73,7 @@ def ref_forward(params, config, ts, xs):
     return out, cache
 
 
-def ref_backward(params, config, cache, d_out):
+def textbook_backward(params, config, cache, d_out):
     p = _views(params, config)
     grad = np.zeros_like(params)
     g = _views(grad, config)
@@ -101,6 +107,83 @@ def ref_backward(params, config, cache, d_out):
     dz_t = d_emb * ref_silu_grad(cache["z_t"])
     g["w_time"][...] = dz_t.T @ cache["feats"]
     g["b_time"][...] = dz_t.sum(axis=0)
+    return grad
+
+
+# --- references: the package's arithmetic, one fresh array per operation ---------
+
+def ref_hidden_sigmoid(x):
+    return np.tanh(x * 0.5) * 0.5 + 0.5
+
+
+def ref_forward(params, config, ts, xs):
+    """``textbook_forward`` with each LayerNorm affine folded into the next
+    dense layer, row means and column sums as BLAS products and the hidden
+    SiLUs from tanh: the package's arithmetic, one fresh array per operation."""
+    p = _views(params, config)
+    dtype = params.dtype
+    mean_of_h = np.full((config.width, 1), 1.0 / config.width, dtype)
+    xs = xs.astype(dtype)
+    ang = (ts[..., None] * _frequencies(config.time_embed_dim // 2)).astype(dtype)
+    feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+    z_t = feats @ p["w_time"].T + p["b_time"]
+    emb = z_t * ref_hidden_sigmoid(z_t)
+    h = xs @ p["w_in"].T + p["b_in"]
+    cache = {"feats": feats, "z_t": z_t, "emb": emb, "xs": xs, "blocks": [],
+             "mean_of_h": mean_of_h}
+    for b in range(config.blocks):
+        w1 = p[f"w1_{b}"]
+        w_fold = w1 * p[f"ln_g{b}"]
+        w_fold = w_fold - w_fold @ mean_of_h
+        b_fold = w1 @ p[f"ln_b{b}"] + p[f"b1_{b}"]
+        centered = h - h @ mean_of_h
+        inv = 1.0 / np.sqrt(np.square(centered) @ mean_of_h + _LN_EPS)
+        xhat = centered * inv
+        z1 = xhat @ w_fold.T + (emb @ p[f"u_{b}"].T + b_fold)
+        a1 = z1 * ref_hidden_sigmoid(z1)
+        z2 = a1 @ p[f"w2_{b}"].T + p[f"b2_{b}"]
+        cache["blocks"].append({"inv": inv, "xhat": xhat, "w_fold": w_fold, "z1": z1, "a1": a1})
+        h = h + z2
+    logits = h @ p["w_out"].T + p["b_out"]
+    out = ref_sigmoid(logits)
+    cache["h_final"] = h
+    cache["out"] = out
+    return out, cache
+
+
+def ref_backward(params, config, cache, d_out):
+    p = _views(params, config)
+    grad = np.zeros_like(params)
+    g = _views(grad, config)
+    out, mean_of_h = cache["out"], cache["mean_of_h"]
+    ones = np.ones(out.shape[0], params.dtype)
+    d_logits = d_out * out * (1.0 - out)
+    g["w_out"][...] = d_logits.T @ cache["h_final"]
+    g["b_out"][...] = ones @ d_logits
+    dh = d_logits @ p["w_out"]
+    d_emb = np.zeros_like(cache["emb"])
+    for b in reversed(range(config.blocks)):
+        c = cache["blocks"][b]
+        w1 = p[f"w1_{b}"]
+        g[f"w2_{b}"][...] = dh.T @ c["a1"]
+        g[f"b2_{b}"][...] = ones @ dh
+        dz1 = (dh @ p[f"w2_{b}"]) * ref_silu_grad(c["z1"], ref_hidden_sigmoid)
+        g_b1 = ones @ dz1
+        g[f"b1_{b}"][...] = g_b1
+        g[f"u_{b}"][...] = dz1.T @ cache["emb"]
+        d_emb += dz1 @ p[f"u_{b}"]
+        dxhat = dz1 @ c["w_fold"]
+        g_w1 = dz1.T @ c["xhat"]
+        g[f"ln_g{b}"][...] = (w1 * g_w1).sum(axis=0)
+        g[f"ln_b{b}"][...] = g_b1 @ w1
+        g[f"w1_{b}"][...] = g_w1 * p[f"ln_g{b}"] + np.outer(g_b1, p[f"ln_b{b}"])
+        mean_dxhat_xhat = (dxhat * c["xhat"]) @ mean_of_h
+        dh = dh + (dxhat - c["xhat"] * mean_dxhat_xhat) * c["inv"]
+    g["w_in"][...] = dh.T @ cache["xs"]
+    g["b_in"][...] = ones @ dh
+    dz_t = d_emb * ref_silu_grad(cache["z_t"], ref_hidden_sigmoid)
+    g["w_time"][...] = dz_t.T @ cache["feats"]
+    g["b_time"][...] = ones @ dz_t
     return grad
 
 
@@ -147,6 +230,23 @@ def _in_both_dtypes(*axes):
         cases += [pytest.param(*values, np.float64, id=name),
                   pytest.param(*values, np.float32, id=f"{name}-float32")]
     return cases
+
+
+@pytest.mark.parametrize("config", [SMALL, D8], ids=["small", "d8"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_network_matches_the_textbook_network_in_float64(config, preset):
+    params = _params(config, 1, scale=0.3)
+    batch = _batch(config, 64, 9)
+    total, grad, _ = loss_and_grad(params, config, batch, PRESETS[preset])
+    out, cache = textbook_forward(params, config, batch.t, batch.x_noised.astype(np.float64))
+    ref_total, _, d_out = loss_parts(batch, out, PRESETS[preset])
+    ref_grad = textbook_backward(params, config, cache, d_out)
+    assert abs(total - ref_total) <= 1e-12 * abs(ref_total)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    xs = np.random.default_rng(9).integers(0, 2, (40, config.d)).astype(float)
+    for t in (np.asarray(1.3), np.linspace(0.0, T_F, 40)):
+        ref_out = textbook_forward(params, config, t, xs)[0]
+        assert np.abs(fd.predict_batch(params, config, t, xs) - ref_out).max() <= 1e-12
 
 
 @pytest.mark.parametrize("preset,w_scaled,config,dtype", _in_both_dtypes(
@@ -235,9 +335,11 @@ def test_ema_training_run_matches_reference():
     for step in range(settings.steps):
         batch = fd.make_batch(draw_clean_states(dist, settings.batch_size, rng), LAM, T_F, rng)
         total, grad, parts = ref_loss_and_grad(params, SMALL, batch, spec)
+        lr, grad_norm = settings.lr_at(state.step), float(np.linalg.norm(grad))
         params = ref_optimizer_step(params, grad, state, settings)
         ema = settings.ema_rate * ema + (1.0 - settings.ema_rate) * params
-        rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac))
+        rows.append((step, total, parts["l2"], parts["e"], parts["ce"], batch.clamped_frac, lr,
+                     grad_norm))
     assert res.log_rows == rows
     assert res.params.tobytes() == ema.tobytes()
     assert _training_workspace.cache_info().currsize == 0  # released with the run

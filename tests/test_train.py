@@ -31,7 +31,7 @@ def test_log_csv_format(tmp_path):
     fd.train(dist, TINY, fd.LossSpec(1, 1, 1), settings, LAM, T_F,
              np.random.default_rng(0), log_path=log)
     lines = log.read_text().strip().splitlines()
-    assert lines[0] == "step,loss_total,loss_l2,loss_e,loss_ce,clamped_frac"
+    assert lines[0] == "step,loss_total,loss_l2,loss_e,loss_ce,clamped_frac,lr,grad_norm"
     assert len(lines) == 6
     first = lines[1].split(",")
     assert first[0] == "0" and all(np.isfinite(float(v)) for v in first[1:])
