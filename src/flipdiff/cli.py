@@ -90,13 +90,8 @@ def cmd_gen_data(config: RunConfig, out: str | None) -> int:
         "dataset_hash": config.dataset_hash(),
         "d": config.d,
         "seed": config.seed,
+        **dist.payload(),
     }
-    if isinstance(dist, ProductBernoulli):
-        payload["kind"] = "product"
-        payload["probs"] = dist.probs.tolist()
-    else:
-        payload["kind"] = "table"
-        payload["mass"] = dist.mass.tolist()
     (out_dir / "dataset.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if config.dataset.kind == "empirical-file":
         rng = substream(config.seed, "gen-data")
@@ -199,17 +194,17 @@ def _number_field(path, payload: dict, field: str, size: int) -> np.ndarray:
 
 
 def _read_dataset(path) -> tuple[Distribution, dict]:
-    """The reference law in a gen-data ``dataset.json`` and the file's fields;
-    a malformed file raises ConfigError naming the field."""
+    """The reference law in a gen-data ``dataset.json`` (the law's ``payload``)
+    and the file's fields; a malformed file raises ConfigError naming the field."""
     payload = _read_json_object(path)
     kind, d = payload.get("kind"), payload.get("d")
     if kind not in ("product", "table"):
         raise ConfigError(f"dataset file {path}: field 'kind' is {kind!r}, not product or table")
     if type(d) is not int or d < 1:
         raise ConfigError(f"dataset file {path}: field 'd' is {d!r}, not a positive integer")
-    field, size = ("probs", d) if kind == "product" else ("mass", 1 << d)
-    values = _number_field(path, payload, field, size)
-    return (ProductBernoulli(values) if kind == "product" else DenseTable(values)), payload
+    law, field, size = {"product": (ProductBernoulli, "probs", d),
+                        "table": (DenseTable, "mass", 1 << d)}[kind]
+    return law(_number_field(path, payload, field, size)), payload
 
 
 def cmd_eval(config: RunConfig, samples_path: str, dataset_path: str,
@@ -323,10 +318,10 @@ def cmd_forward_diag(config: RunConfig, times: list[float]) -> int:
         for t in times:
             table = marginal_table(dist, t, config.lam)
             print(f"t={t:g}: " + " ".join(f"{m:.5f}" for m in table.mass))
-    elif isinstance(dist, ProductBernoulli):
+    else:
         print("\nper-bit marginal P(bit=1):")
         for t in times:
-            probs = marginal(dist, t, config.lam).probs
+            probs = marginal(dist, t, config.lam).bit_probs()
             print(f"t={t:g}: " + " ".join(f"{p:.5f}" for p in probs))
     return 0
 

@@ -16,13 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    DenseTable,
-    Distribution,
-    ProductBernoulli,
-    as_bits,
-    check_enum_limit,
-)
+from .errors import EnumerationLimitError
+
+# as_bits and this limit live here: states imports this module for its laws' math
+ENUM_LIMIT = 24  # largest d for which 2^d tables may be materialized
+
+
+def check_enum_limit(d: int) -> None:
+    if d > ENUM_LIMIT:
+        raise EnumerationLimitError(f"operation needs a 2^{d} table; refusing d > {ENUM_LIMIT}")
+
+
+def as_bits(x) -> np.ndarray:
+    """Validate and return a state as an int8 array of 0/1 entries."""
+    arr = np.asarray(x)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"state must be a nonempty 1-d sequence, got shape {arr.shape}")
+    if not np.isin(arr, (0, 1)).all():
+        raise ValueError("state entries must be 0 or 1")
+    return arr.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -102,22 +114,15 @@ def propagate_mass(mass: np.ndarray, t: float, lam: float) -> np.ndarray:
     return m
 
 
-def marginal(mu0: Distribution, t: float, lam: float) -> Distribution:
-    """Forward marginal at time t; preserves the input representation.
-
-    Product inputs stay products with p_i(t) = 1/2 + (p_i - 1/2) * alpha_t,
-    computed in O(d); dense inputs are propagated through the full kernel.
-    """
-    a_t = alpha(t, lam)
-    if isinstance(mu0, ProductBernoulli):
-        return ProductBernoulli(0.5 + (mu0.probs - 0.5) * a_t)
-    return DenseTable(propagate_mass(mu0.mass, t, lam))
+def marginal(mu0, t: float, lam: float):
+    """Forward marginal at time t in the law's own representation (its
+    ``marginal`` method: O(d) for a product law, the full kernel for a table)."""
+    return mu0.marginal(t, lam)
 
 
-def marginal_table(mu0: Distribution, t: float, lam: float) -> DenseTable:
+def marginal_table(mu0, t: float, lam: float):
     """Forward marginal at time t as an explicit dense table."""
-    out = marginal(mu0, t, lam)
-    return out.to_table()
+    return marginal(mu0, t, lam).to_table()
 
 
 def sample_conditional_batch(x0s: np.ndarray, ts, lam: float, rng: np.random.Generator) -> np.ndarray:

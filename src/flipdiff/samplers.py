@@ -39,149 +39,38 @@ from .forward import alpha, propagate_mass  # noqa: F401
 from .model import ModelConfig, check_compatible, load_checkpoint, predict_batch
 from .schedules import FlipSchedule, TimeSchedule
 from .score import RATE_TOL, T_MIN, backward_rates, score_from_denoiser
-from .states import (Distribution, EmpiricalSet, ProductBernoulli, distinct_rows, flip_index,
-                     state_indices)
+from .states import Distribution, EmpiricalSet, distinct_rows
 
 
 class ExactScoreSource:
-    """Ground-truth score/denoiser from an enumerable (or product) data law,
-    both ratios of non-negative forward masses (``_mass_terms``): per bit in
-    closed form for a product law, from distance-shell tables for a dense one."""
+    """Ground-truth score/denoiser from a data law that carries its own
+    forward masses (``states``): the law's ``score``, and other/here of its
+    ``mass_terms`` for the denoiser, at forward time u = t_f - t."""
 
     kind = "exact"
 
     def __init__(self, dist: Distribution, lam: float, t_f: float):
-        self.dist = dist
-        self.lam = lam
-        self.t_f = t_f
-        self.d = dist.d
-        self._shells = {}
+        self.dist, self.lam, self.t_f, self.d = dist, lam, t_f, dist.d
 
-    def _check(self, X):
+    def _inputs(self, t, X):
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"states must have shape (n, {self.d})")
-        return X if X.dtype.kind in "iu" else X.astype(np.int64)
-
-    def _forward_time(self, t):
         u = self.t_f - np.asarray(t, dtype=np.float64)
         if (u < 0).any():
             raise ValueError("backward time exceeds the horizon t_f")
-        return u
-
-    def _product_marginal(self, u):
-        """alpha(u) as a column and the product marginal's P(bit = 1) per coordinate."""
-        a_u = np.asarray(alpha(u, self.lam))[..., None]
-        return a_u, 0.5 + (self.dist.probs - 0.5) * a_u
-
-    def _shell_table(self, cross: int | None = None) -> np.ndarray:
-        """shells[h, z]: the data mass at Hamming distance h from state z;
-        with ``cross`` = l, only that of sources whose bit l differs from z's.
-
-        Built on first use in d butterfly passes and kept for the source's
-        life, (d+1)*2^d doubles each: the plain table for the score, and one
-        cross table per coordinate once the denoiser is queried. A forward
-        mass is then one weighted sum over d+1 rows at any time."""
-        if cross not in self._shells:
-            d = self.d
-            shells = np.zeros((d + 1, 1 << d))
-            shells[0] = self.dist.mass
-            for bit in range(d):
-                # a source differing from z in this bit is one step further
-                # away; the cross table drops the sources that agree in it
-                m = shells.reshape(d + 1, -1, 2, 1 << bit)
-                nxt = np.zeros_like(m) if bit == cross else m.copy()
-                nxt[1:, :, 0] += m[:-1, :, 1]
-                nxt[1:, :, 1] += m[:-1, :, 0]
-                shells = nxt.reshape(d + 1, -1)
-            self._shells[cross] = shells
-        return self._shells[cross]
-
-    def _marginal_mass(self, u, where, cross: int | None = None) -> np.ndarray:
-        """mu_u at the state indices ``where``: sum_h shells[h]*p^(d-h)*q^h
-        with p, q = (1 +- alpha(u))/2, the terms added in h order and the
-        powers built by repeated products, so the bits of an entry depend
-        only on its state and its time; ``cross`` sums a cross table
-        instead. ``u`` is a float or an array that broadcasts against
-        ``where``."""
-        shells, d = self._shell_table(cross), self.d
-        a_u = alpha(u, self.lam)
-        stay, move = 0.5 + 0.5 * a_u, 0.5 - 0.5 * a_u
-        stay_pow = [1.0]
-        for _ in range(d):
-            stay_pow.append(stay_pow[-1] * stay)
-        out = shells[0][where] * stay_pow[d]
-        move_pow = 1.0
-        for h in range(1, d + 1):
-            move_pow = move_pow * move
-            out += shells[h][where] * (stay_pow[d - h] * move_pow)
-        return out
-
-    def _mass_terms(self, t, X, moved: bool):
-        """(here, other) at a scalar backward time or one per row: ``here``
-        is mu_u at each row's state, u = t_f - t, and ``other`` holds per
-        coordinate l either mu_u at the state's l-flip (the score is
-        1 - other/here) or, when ``moved``, the part of ``here`` carried
-        from sources whose bit l differs (the denoiser is other/here). A
-        dense law at a scalar time builds the marginal over all states once
-        and looks rows up in it; either way every value comes from the same
-        ``_marginal_mass`` terms, so the two agree bit for bit."""
-        X, u = self._check(X), self._forward_time(t)
-        if isinstance(self.dist, ProductBernoulli):
-            a_u, q1 = self._product_marginal(u)
-            here = np.where(X == 1, q1, 1.0 - q1)
-            if not moved:
-                return here, 1.0 - here
-            prior_other = np.where(X == 1, 1.0 - self.dist.probs, self.dist.probs)
-            return here, prior_other * (0.5 * (1.0 - a_u))
-        idx = state_indices(X)
-        if moved:
-            here = self._marginal_mass(u, idx)
-            other = np.stack([self._marginal_mass(u, idx, cross=l) for l in range(self.d)], axis=1)
-        elif np.ndim(u) == 0:
-            table = self._marginal_mass(float(u), slice(None))
-            here, other = table[idx], table[flip_index(self.d)[idx]]
-        else:
-            flips = flip_index(self.d)[idx]
-            mass = self._marginal_mass(u[:, None], np.concatenate([idx[:, None], flips], axis=1))
-            here, other = mass[:, 0], mass[:, 1:]
-        if (here <= 0.0).any():
-            row = int(np.argmin(here))
-            u_bad = float(u if np.ndim(u) == 0 else u[row])
-            raise ValueError(f"state index {idx[row]} has zero mass at forward time {u_bad!r}")
-        return here[:, None], other
-
-    # --- scalar time --------------------------------------------------------
-
-    def score_batch(self, t: float, X) -> np.ndarray:
-        """Score at one time for every row of ``X``, built from one table per
-        call; bit-identical to ``score_rows`` with that time repeated."""
-        if not isinstance(self.dist, ProductBernoulli):
-            return self.score_rows(t, X)
-        # entry (c, b) is the score of coordinate c reading bit b, from the
-        # same arithmetic as score_rows; each column takes its entries by
-        # the rows' bits, with no n x d integer index
-        X = self._check(X)
-        _, q1 = self._product_marginal(self._forward_time(t))
-        p = np.stack([1.0 - q1, q1], axis=1)
-        table = 1.0 - (1.0 - p) / p
-        out = np.empty(X.shape)
-        for col, bit in enumerate((X == 1).view(np.uint8).T):
-            out[:, col] = table[col].take(bit)
-        return out
-
-    def denoiser_batch(self, t: float, X) -> np.ndarray:
-        return self.denoiser_rows(np.full(np.asarray(X).shape[0], t), X)
-
-    # --- per-row times ---------------------------------------------------
+        return u, (X if X.dtype.kind in "iu" else X.astype(np.int64))
 
     def score_rows(self, ts, X) -> np.ndarray:
-        here, flipped = self._mass_terms(ts, X, moved=False)
-        return 1.0 - flipped / here
+        """Score at one backward time per row of ``X``, or at one for all rows
+        (``score_batch``), bit for bit that time repeated; the denoiser alike."""
+        return self.dist.score(*self._inputs(ts, X), self.lam)
 
     def denoiser_rows(self, ts, X) -> np.ndarray:
-        here, moved = self._mass_terms(ts, X, moved=True)
+        here, moved = self.dist.mass_terms(*self._inputs(ts, X), self.lam, moved=True)
         return moved / here
+
+    score_batch, denoiser_batch = score_rows, denoiser_rows
 
 
 class LearnedScoreSource:
@@ -192,10 +81,7 @@ class LearnedScoreSource:
 
     def __init__(self, params: np.ndarray, config: ModelConfig, lam: float, t_f: float):
         self.params = np.asarray(params, dtype=np.float32)
-        self.config = config
-        self.lam = lam
-        self.t_f = t_f
-        self.d = config.d
+        self.config, self.lam, self.t_f, self.d = config, lam, t_f, config.d
 
     @classmethod
     def from_checkpoint(cls, path, *, d: int | None = None, lam: float | None = None,
@@ -220,8 +106,7 @@ class LearnedScoreSource:
         return np.take(predict_batch(self.params, self.config, t, X[first]), inverse, axis=0)
 
     def score_batch(self, t: float, X) -> np.ndarray:
-        dvec = self.denoiser_batch(t, X)
-        return score_from_denoiser(dvec, t, self.lam, self.t_f)
+        return score_from_denoiser(self.denoiser_batch(t, X), t, self.lam, self.t_f)
 
 
 class ShiftedScoreSource:

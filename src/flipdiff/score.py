@@ -11,10 +11,10 @@ posterior flip probability d^l(x) = P(X_0^l != x^l | X_u = x). The two are
 related coordinatewise by the affine map implemented in
 ``score_from_denoiser``; samplers need only 1 - s^l >= 0.
 
-The exact values for an enumerable data law come from one implementation,
-``samplers.ExactScoreSource``. A score becomes a backward rate lam*(1 - s) in
-one place, ``backward_rates``, which validates it, for the rate-driven
-samplers and the exact backward marginal.
+The exact values come from each data law's own ``score`` and ``mass_terms``
+(``states``), served by ``samplers.ExactScoreSource``. A score becomes a
+backward rate lam*(1 - s) in one place, ``backward_rates``, which validates
+it, for the rate-driven samplers and the exact backward marginal.
 """
 
 from __future__ import annotations

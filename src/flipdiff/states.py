@@ -3,6 +3,10 @@
 States are numpy arrays of 0/1 ints. A state maps to a table index via
 ``index = sum(bits[i] << i)``, i.e. component i is bit i of the integer;
 every dense 2^d table in the package uses this order.
+
+Each data law carries its own forward math at forward time u and rate lam
+(``marginal``, ``score``, ``mass_terms``, ``reverse_law``), its per-bit
+P(bit = 1) and its ``dataset.json`` fields; no caller asks which law it holds.
 """
 
 from __future__ import annotations
@@ -12,21 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EnumerationLimitError
-
-ENUM_LIMIT = 24  # largest d for which 2^d tables may be materialized
+from . import forward
+from .forward import ENUM_LIMIT, as_bits, check_enum_limit  # noqa: F401
 
 MASS_TOL = 1e-12
-
-
-def as_bits(x) -> np.ndarray:
-    """Validate and return a state as an int8 array of 0/1 entries."""
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"state must be a nonempty 1-d sequence, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("state entries must be 0 or 1")
-    return arr.astype(np.int8)
 
 
 def flip(x, coord: int) -> np.ndarray:
@@ -101,11 +94,6 @@ def all_states(d: int) -> np.ndarray:
     return index_to_state(np.arange(1 << d), d)
 
 
-def check_enum_limit(d: int) -> None:
-    if d > ENUM_LIMIT:
-        raise EnumerationLimitError(f"operation needs a 2^{d} table; refusing d > {ENUM_LIMIT}")
-
-
 @dataclass(frozen=True)
 class ProductBernoulli:
     """Independent per-bit Bernoulli distribution with strict probabilities in (0,1)."""
@@ -131,17 +119,66 @@ class ProductBernoulli:
         return EmpiricalSet(draws)
 
     def to_table(self) -> "DenseTable":
+        """The 2^d table, one bit per doubling (times 1 - p_i, then p_i)."""
         check_enum_limit(self.d)
-        states = all_states(self.d)
-        mass = np.prod(np.where(states == 1, self.probs, 1.0 - self.probs), axis=1)
+        mass = np.array([1.0 - self.probs[0], self.probs[0]])
+        for p in self.probs[1:]:
+            mass = np.concatenate([mass * (1.0 - p), mass * p])
         return DenseTable(mass)
+
+    def bit_probs(self) -> np.ndarray:
+        return self.probs
+
+    def payload(self) -> dict:
+        return {"kind": "product", "probs": self.probs.tolist()}
+
+    def _bit_marginal(self, u, lam: float):
+        """alpha(u) as a column and the marginal's P(bit = 1) per coordinate."""
+        a_u = np.asarray(forward.alpha(u, lam))[..., None]
+        return a_u, 0.5 + (self.probs - 0.5) * a_u
+
+    def marginal(self, u: float, lam: float) -> "ProductBernoulli":
+        """A product again, p_i(u) = 1/2 + (p_i - 1/2) * alpha(u), in O(d)."""
+        return ProductBernoulli(self._bit_marginal(u, lam)[1])
+
+    def mass_terms(self, u, X, lam: float, moved: bool):
+        """As ``DenseTable.mass_terms``, but per coordinate l, (n, d) each:
+        every ratio of product masses keeps only bit l's factors."""
+        a_u, q1 = self._bit_marginal(u, lam)
+        here = np.where(X == 1, q1, 1.0 - q1)
+        if not moved:
+            return here, 1.0 - here
+        prior_other = np.where(X == 1, 1.0 - self.probs, self.probs)
+        return here, prior_other * (0.5 * (1.0 - a_u))
+
+    def score(self, u, X, lam: float) -> np.ndarray:
+        """1 - other/here; at one time, entry (c, b) of a (d, 2) table is the
+        score of coordinate c reading bit b, the same arithmetic, and each
+        column takes its entries by the rows' bits (no n x d integer index)."""
+        if np.ndim(u):
+            here, flipped = self.mass_terms(u, X, lam, moved=False)
+            return 1.0 - flipped / here
+        q1 = self._bit_marginal(u, lam)[1]
+        p = np.stack([1.0 - q1, q1], axis=1)
+        table = 1.0 - (1.0 - p) / p
+        out = np.empty(X.shape)
+        for col, bit in enumerate((X == 1).view(np.uint8).T):
+            out[:, col] = table[col].take(bit)
+        return out
+
+    def reverse_law(self, t_f: float, lam: float) -> "ProductBernoulli":
+        a, q1 = self._bit_marginal(t_f, lam)
+        stay, move = 0.25 * (1.0 + a), 0.25 * (1.0 - a)
+        return ProductBernoulli(self.probs * (stay / q1 + move / (1.0 - q1)))
 
 
 @dataclass(frozen=True)
 class DenseTable:
-    """Explicit probability table over all 2^d states, indexed by ``state_index``."""
+    """Explicit probability table over all 2^d states, indexed by ``state_index``;
+    ``_shells`` caches ``_shell_table`` and is not part of init, repr or eq."""
 
     mass: np.ndarray
+    _shells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mass = np.asarray(self.mass, dtype=np.float64)
@@ -180,6 +217,92 @@ class DenseTable:
 
     def to_table(self) -> "DenseTable":
         return self
+
+    def bit_probs(self) -> np.ndarray:
+        return np.array([self.mass.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(self.d)])
+
+    def payload(self) -> dict:
+        return {"kind": "table", "mass": self.mass.tolist()}
+
+    def marginal(self, u: float, lam: float) -> "DenseTable":
+        return DenseTable(forward.propagate_mass(self.mass, u, lam))
+
+    def _shell_table(self, cross: int | None = None) -> np.ndarray:
+        """shells[h, z]: the data mass at Hamming distance h from state z;
+        with ``cross`` = l, only that of sources whose bit l differs from z's.
+
+        Built on first use in d butterfly passes and kept for the table's
+        life, (d+1)*2^d doubles each: the plain table for the score, and one
+        cross table per coordinate once the denoiser is queried. A forward
+        mass is then one weighted sum over d+1 rows at any time."""
+        if cross not in self._shells:
+            d = self.d
+            shells = np.zeros((d + 1, 1 << d))
+            shells[0] = self.mass
+            for bit in range(d):
+                # a source differing from z in this bit is one step further
+                # away; the cross table drops the sources that agree in it
+                m = shells.reshape(d + 1, -1, 2, 1 << bit)
+                nxt = np.zeros_like(m) if bit == cross else m.copy()
+                nxt[1:, :, 0] += m[:-1, :, 1]
+                nxt[1:, :, 1] += m[:-1, :, 0]
+                shells = nxt.reshape(d + 1, -1)
+            self._shells[cross] = shells
+        return self._shells[cross]
+
+    def _marginal_mass(self, u, lam: float, where, cross: int | None = None) -> np.ndarray:
+        """mu_u at the state indices ``where``: sum_h shells[h]*p^(d-h)*q^h
+        with p, q = (1 +- alpha(u))/2, the terms added in h order and the
+        powers built by repeated products, so the bits of an entry depend
+        only on its state and its time; ``cross`` sums a cross table
+        instead. ``u`` is a float or an array that broadcasts against
+        ``where``."""
+        shells, d = self._shell_table(cross), self.d
+        a_u = forward.alpha(u, lam)
+        stay, move = 0.5 + 0.5 * a_u, 0.5 - 0.5 * a_u
+        stay_pow = [1.0]
+        for _ in range(d):
+            stay_pow.append(stay_pow[-1] * stay)
+        out = shells[0][where] * stay_pow[d]
+        move_pow = 1.0
+        for h in range(1, d + 1):
+            move_pow = move_pow * move
+            out += shells[h][where] * (stay_pow[d - h] * move_pow)
+        return out
+
+    def mass_terms(self, u, X, lam: float, moved: bool):
+        """(here, other) at forward time u, a float or one per row of the
+        integer states ``X``: mu_u at each row's state, and per coordinate l
+        mu_u at its l-flip (the score is 1 - other/here) or, when ``moved``,
+        the part of ``here`` from sources whose bit l differs (the denoiser is
+        other/here). One time reads the same terms off the all-state marginal."""
+        idx = state_indices(X)
+        if moved:
+            here = self._marginal_mass(u, lam, idx)
+            other = np.stack([self._marginal_mass(u, lam, idx, cross=l) for l in range(self.d)],
+                             axis=1)
+        elif np.ndim(u) == 0:
+            table = self._marginal_mass(float(u), lam, slice(None))
+            here, other = table[idx], table[flip_index(self.d)[idx]]
+        else:
+            flips = flip_index(self.d)[idx]
+            mass = self._marginal_mass(u[:, None], lam,
+                                       np.concatenate([idx[:, None], flips], axis=1))
+            here, other = mass[:, 0], mass[:, 1:]
+        if (here <= 0.0).any():
+            row = int(np.argmin(here))
+            u_bad = float(u if np.ndim(u) == 0 else u[row])
+            raise ValueError(f"state index {idx[row]} has zero mass at forward time {u_bad!r}")
+        return here[:, None], other
+
+    def score(self, u, X, lam: float) -> np.ndarray:
+        here, flipped = self.mass_terms(u, X, lam, moved=False)
+        return 1.0 - flipped / here
+
+    def reverse_law(self, t_f: float, lam: float) -> "DenseTable":
+        """Two ``forward.propagate_mass`` calls, the kernel being symmetric."""
+        ratio = (1.0 / self.mass.size) / forward.propagate_mass(self.mass, t_f, lam)
+        return DenseTable(self.mass * forward.propagate_mass(ratio, t_f, lam))
 
 
 @dataclass(frozen=True)

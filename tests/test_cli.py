@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import flipdiff as fd
-from flipdiff.cli import main
+from flipdiff.cli import _read_dataset, build_distribution, main
 from _stats import assert_uniform_chi2
 
 
@@ -558,6 +558,47 @@ def test_forward_diag_prints_tables(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "single-bit kernel" in text
     assert "marginal" in text
+
+
+def test_forward_diag_prints_per_bit_marginals_of_a_table_above_d_12(tmp_path, capsys):
+    """Above d = 12 a table-file law prints its per-bit P(bit = 1) at each
+    time, as a product law does: at t = 0 the data's own, then closer to 1/2."""
+    d = 13
+    mass = np.random.default_rng(8).dirichlet(np.ones(1 << d))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"mass": mass.tolist()}))
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, d=d, dataset={"kind": "table-file", "path": str(table_path)})
+    assert main(["forward-diag", "--config", str(cfg_path), "--times", "0,2.0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[lines.index("per-bit marginal P(bit=1):") + 1:]
+    assert [row.split(":")[0] for row in rows] == ["t=0", "t=2"]
+    at_zero, later = (np.array(row.split()[1:], dtype=float) for row in rows)
+    expected = [mass[(np.arange(1 << d) >> i) & 1 == 1].sum() for i in range(d)]
+    np.testing.assert_allclose(at_zero, expected, atol=1e-5)
+    assert at_zero.size == later.size == d
+    assert (np.abs(later - 0.5) <= np.abs(at_zero - 0.5) + 1e-5).all()
+
+
+@pytest.mark.parametrize("kind", ["product", "table"])
+def test_gen_data_dataset_json_reads_back_the_configured_law(tmp_path, kind):
+    """gen-data writes the law's own payload, and reading dataset.json back
+    gives a law of the same class with the same parameters."""
+    if kind == "product":
+        dataset = {"kind": "product", "probs": [0.2, 0.7, 0.45]}
+    else:
+        table_path = tmp_path / "table.json"
+        mass = np.random.default_rng(9).dirichlet(np.ones(8))
+        table_path.write_text(json.dumps({"mass": mass.tolist()}))
+        dataset = {"kind": "table-file", "path": str(table_path)}
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, d=3, dataset=dataset)
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+    law, payload = _read_dataset(out / "dataset.json")
+    expected = build_distribution(fd.load_config(cfg_path))
+    assert payload["kind"] == kind and type(law) is type(expected)
+    assert law.payload() == expected.payload()
 
 
 @pytest.mark.parametrize("flag", ["--out", "--seed"])

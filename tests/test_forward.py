@@ -70,11 +70,18 @@ def test_marginal_brute_force_d1():
 
 
 def test_marginal_product_structure_preserved():
+    """A product's marginal is a product (``ProductBernoulli.marginal``) and
+    agrees with its table's (``DenseTable.marginal``), and so do their
+    per-bit P(bit = 1) (``bit_probs``), at time 0 and later."""
     product = fd.sawtooth_params(5)
     out = fd.marginal(product, 0.9, 1.2)
     assert isinstance(out, fd.ProductBernoulli)
+    assert out.probs.tobytes() == product.marginal(0.9, 1.2).probs.tobytes()
     dense = fd.marginal_table(fd.DenseTable(product.to_table().mass), 0.9, 1.2)
     assert np.allclose(out.to_table().mass, dense.mass, atol=1e-14)
+    for u in (0.0, 0.9):
+        p, table = product.marginal(u, 1.2), product.to_table().marginal(u, 1.2)
+        assert np.abs(p.bit_probs() - table.bit_probs()).max() < 1e-14
 
 
 def test_uniform_is_invariant():

@@ -313,6 +313,9 @@ def test_exact_reverse_law_product_matches_dense(d):
         nu_d = fd.exact_reverse_law(product.to_table(), LAM, t_f)
         assert isinstance(nu_p, fd.ProductBernoulli)
         assert np.abs(nu_p.to_table().mass - nu_d.mass).max() < 1e-12
+        # the public function is each law's own reverse_law
+        assert nu_p.probs.tobytes() == product.reverse_law(t_f, LAM).probs.tobytes()
+        assert nu_d.mass.tobytes() == product.to_table().reverse_law(t_f, LAM).mass.tobytes()
 
 
 def test_exact_backward_marginal_first_order_in_k():

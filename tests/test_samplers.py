@@ -46,14 +46,27 @@ class ConstantScoreSource:
 # --- score sources ----------------------------------------------------------
 
 def test_exact_source_product_matches_dense():
+    """A product law and its table agree through the source at one time and
+    at one time per row, and so do the laws' own ``score`` and the ratios
+    other/here of their ``mass_terms`` (per bit for the product)."""
     dist = fd.sawtooth_params(4)
     src_p = exact_src(dist)
     src_d = exact_src(dist.to_table())
     rng = np.random.default_rng(0)
     X = rng.integers(0, 2, (40, 4))
+    ts = rng.uniform(0.0, 3.0, 40)
     for t in (0.0, 1.1, 2.9):
         assert np.allclose(src_p.score_batch(t, X), src_d.score_batch(t, X), atol=1e-12)
         assert np.allclose(src_p.denoiser_batch(t, X), src_d.denoiser_batch(t, X), atol=1e-12)
+    assert np.allclose(src_p.score_rows(ts, X), src_d.score_rows(ts, X), atol=1e-12)
+    assert np.allclose(src_p.denoiser_rows(ts, X), src_d.denoiser_rows(ts, X), atol=1e-12)
+    for u in (1.9, 3.0 - ts):
+        assert np.allclose(dist.score(u, X, LAM), src_d.dist.score(u, X, LAM), atol=1e-12)
+        for moved in (False, True):
+            here_p, other_p = dist.mass_terms(u, X, LAM, moved)
+            here_d, other_d = src_d.dist.mass_terms(u, X, LAM, moved)
+            assert here_p.shape == other_p.shape == here_d.shape[:1] + (4,)
+            assert np.allclose(other_p / here_p, other_d / here_d, atol=1e-12)
 
 
 def test_exact_source_matches_oracle_functions():

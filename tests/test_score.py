@@ -162,3 +162,54 @@ def test_backward_rates_invalid_score():
 def test_backward_rates_rejects_non_finite_score(bad):
     with pytest.raises(fd.SamplerError):
         fd.score._check_rates(1.0 - np.array([bad, 0.0]), 1.0, 1.0)
+
+
+class ProductMixture:
+    """Test-only correlated law, sum_k w_k prod_i Bern(p_ki), written as one
+    class against the law interface that ``ExactScoreSource`` calls (``d``,
+    ``score``, ``mass_terms``) and nothing else in the package: each
+    component's full mass is the product of its per-bit terms, and its part
+    of ``other`` is that mass times the component's own per-bit ratio."""
+
+    def __init__(self, weights, probs):
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.components = [fd.ProductBernoulli(p) for p in probs]
+        self.d = self.components[0].d
+
+    def mass_terms(self, u, X, lam, moved):
+        here, other = 0.0, 0.0
+        for w, comp in zip(self.weights, self.components):
+            bit_here, bit_other = comp.mass_terms(u, X, lam, moved)
+            mass = w * bit_here.prod(axis=1, keepdims=True)
+            here, other = here + mass, other + mass * (bit_other / bit_here)
+        return here, other
+
+    def score(self, u, X, lam):
+        here, flipped = self.mass_terms(u, X, lam, moved=False)
+        return 1.0 - flipped / here
+
+    def to_table(self):
+        return fd.DenseTable(sum(w * comp.to_table().mass
+                                 for w, comp in zip(self.weights, self.components)))
+
+
+def test_mixture_law_through_the_exact_source_matches_its_table():
+    """A new law is one class: the d = 4 two-component mixture's score and
+    denoiser at per-row and scalar times, and its exact backward marginal,
+    match the same calls on its own dense table within 1e-12."""
+    mix = ProductMixture([0.3, 0.7], [[0.1, 0.8, 0.3, 0.9], [0.7, 0.2, 0.6, 0.15]])
+    src, dense = fd.ExactScoreSource(mix, LAM, T_F), fd.ExactScoreSource(mix.to_table(), LAM, T_F)
+    rng = np.random.default_rng(70)
+    X = fd.all_states(4)[rng.integers(0, 16, 64)]
+    ts = rng.uniform(0.0, T_F, 64)
+    ts[:2] = [0.0, T_F]
+    for method in ("score_rows", "denoiser_rows"):
+        np.testing.assert_allclose(getattr(src, method)(ts, X), getattr(dense, method)(ts, X),
+                                   rtol=0, atol=1e-12)
+    for t in (0.0, 1.3, T_F):
+        np.testing.assert_allclose(src.score_batch(t, X), dense.score_batch(t, X),
+                                   rtol=0, atol=1e-12)
+    schedule = fd.time_grid("cosine", 40, T_F)
+    np.testing.assert_allclose(fd.exact_backward_marginal(src, schedule, LAM).mass,
+                               fd.exact_backward_marginal(dense, schedule, LAM).mass,
+                               rtol=0, atol=1e-12)

@@ -95,6 +95,16 @@ def test_table_from_product_matches_pointwise():
         assert abs(table.mass[fd.state_index(x)] - pointwise) < 1e-15
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+def test_product_table_by_doublings_equals_the_statewise_product(d):
+    """The table built one bit per doubling is, byte for byte, the product
+    over each state's bits of p_i or 1 - p_i taken over the (2^d, d) state
+    array, multiplied in bit order."""
+    product = fd.ProductBernoulli(np.random.default_rng(60 + d).uniform(0.01, 0.99, d))
+    spec = np.prod(np.where(fd.all_states(d) == 1, product.probs, 1.0 - product.probs), axis=1)
+    assert (product.to_table().mass == spec).all()
+
+
 def test_product_bernoulli_rejects_degenerate():
     with pytest.raises(ValueError):
         fd.ProductBernoulli([0.5, 1.0])
